@@ -179,13 +179,17 @@ void ThreadPool::set_num_threads(std::size_t n) {
 
 unsigned ThreadPool::current_worker_id() { return pool_worker_id; }
 
+bool ThreadPool::runs_inline(std::size_t num_blocks) const {
+  return num_threads_ == 1 || num_blocks == 1 || in_parallel_region;
+}
+
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (begin >= end) return;
   if (grain < 1) grain = 1;
   const std::size_t num_blocks = (end - begin + grain - 1) / grain;
-  if (num_threads_ == 1 || num_blocks == 1 || in_parallel_region) {
+  if (runs_inline(num_blocks)) {
     run_serial(begin, end, grain, fn);
     return;
   }
@@ -210,11 +214,6 @@ void ThreadPool::parallel_for(
     impl_->current.reset();
   }
   if (job->first_error) std::rethrow_exception(job->first_error);
-}
-
-void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
-  ThreadPool::instance().parallel_for(begin, end, grain, fn);
 }
 
 }  // namespace gbo

@@ -55,6 +55,11 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// True when a parallel_for of `num_blocks` blocks issued from the
+  /// calling thread would run inline: one block, a one-thread pool, or a
+  /// caller already inside a parallel region.
+  bool runs_inline(std::size_t num_blocks) const;
+
  private:
   ThreadPool();
   struct Impl;
@@ -62,8 +67,23 @@ class ThreadPool {
   std::size_t num_threads_ = 1;
 };
 
-/// Convenience wrapper over ThreadPool::instance().parallel_for.
+/// Convenience wrapper over ThreadPool::instance().parallel_for. An inline
+/// run calls fn block by block directly, and a pooled run hands the pool a
+/// reference to fn, so neither wraps fn in an allocating std::function.
+template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+                  Fn&& fn) {
+  if (begin >= end) return;
+  if (grain < 1) grain = 1;
+  ThreadPool& pool = ThreadPool::instance();
+  if (pool.runs_inline((end - begin + grain - 1) / grain)) {
+    for (std::size_t lo = begin; lo < end; lo += grain)
+      fn(lo, lo + grain < end ? lo + grain : end);
+    return;
+  }
+  pool.parallel_for(begin, end, grain,
+                    std::function<void(std::size_t, std::size_t)>(
+                        std::ref(fn)));
+}
 
 }  // namespace gbo

@@ -1,6 +1,10 @@
 #include "quant/act_quant.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace gbo::quant {
@@ -28,6 +32,60 @@ Tensor quantize(const Tensor& x, std::size_t levels) {
   return out;
 }
 
+namespace {
+
+/// Order-preserving map of floats onto unsigned keys (-inf < ... < -0 <
+/// +0 < ... < +inf; NaNs fall outside [key(-inf), key(+inf)]).
+std::uint32_t order_key(float x) {
+  const auto b = std::bit_cast<std::uint32_t>(x);
+  return (b & 0x80000000u) ? ~b : b | 0x80000000u;
+}
+
+float from_key(std::uint32_t k) {
+  return std::bit_cast<float>((k & 0x80000000u) ? k & 0x7fffffffu : ~k);
+}
+
+/// q[i] = the quantized level value of the number of thresholds x[i]
+/// reaches — quantize_value's own epilogue over the level, so the value
+/// is bitwise what quantize_value returns. N > 0 fixes the threshold count
+/// at compile time so the element loop vectorizes. Returns true if any
+/// input was NaN (those entries need the reference path).
+template <std::size_t N>
+bool quantize_by_thresholds(const float* x, std::size_t n,
+                            const std::vector<float>& thr, float steps,
+                            float* q) {
+  const std::size_t count = N > 0 ? N : thr.size();
+  float t[N > 0 ? N : 1];
+  if constexpr (N > 0) std::copy(thr.begin(), thr.end(), t);
+  unsigned nan = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    int level = 0;
+    for (std::size_t j = 0; j < count; ++j)
+      level += (N > 0 ? v >= t[j] : v >= thr[j]) ? 1 : 0;
+    q[i] = static_cast<float>(level) / steps * 2.0f - 1.0f;
+    nan |= static_cast<unsigned>(v != v);
+  }
+  return nan != 0;
+}
+
+}  // namespace
+
+QuantTanh::QuantTanh(std::size_t levels) : levels_(levels) {
+  if (levels < 2) throw std::invalid_argument("QuantTanh: levels must be >= 2");
+  // Bisection per level over the ordered keys of [-inf, +inf], keeping
+  // level(lo) < l <= level(hi); tanh saturates to ±1 at the ends.
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t l = 1; l < levels; ++l) {
+    std::uint32_t lo = order_key(-inf), hi = order_key(inf);
+    while (hi - lo > 1) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      (level_index(std::tanh(from_key(mid)), levels) >= l ? hi : lo) = mid;
+    }
+    thresholds_.push_back(from_key(hi));
+  }
+}
+
 Tensor QuantTanh::forward(const Tensor& x) {
   Tensor out(x.shape());
   cached_tanh_ = Tensor(x.shape());
@@ -45,8 +103,15 @@ Tensor QuantTanh::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   Tensor out = ctx.make(x.shape());
   const float* p = x.data();
   float* q = out.data();
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    q[i] = quantize_value(std::tanh(p[i]), levels_);
+  const std::size_t n = x.numel();
+  const float steps = static_cast<float>(levels_ - 1);
+  const bool nan =
+      thresholds_.size() == 8
+          ? quantize_by_thresholds<8>(p, n, thresholds_, steps, q)
+          : quantize_by_thresholds<0>(p, n, thresholds_, steps, q);
+  if (nan)
+    for (std::size_t i = 0; i < n; ++i)
+      if (p[i] != p[i]) q[i] = quantize_value(std::tanh(p[i]), levels_);
   return out;
 }
 

@@ -24,9 +24,16 @@ Tensor quantize(const Tensor& x, std::size_t levels);
 std::size_t level_index(float x, std::size_t levels);
 
 /// Tanh + uniform quantization with STE.
+///
+/// infer() never evaluates tanh: the level of quantize_value(tanh(x)) is a
+/// non-decreasing step function of x, so it is the count of `levels - 1`
+/// precomputed input thresholds that x reaches, found once at construction
+/// by bisection over the ordered float line. Bitwise equal to forward()'s
+/// quantize_value(tanh(x)) for every float input (tests/test_quant.cpp
+/// checks all 2^32 bit patterns); NaN inputs take the reference path.
 class QuantTanh : public gbo::nn::Module {
  public:
-  explicit QuantTanh(std::size_t levels = 9) : levels_(levels) {}
+  explicit QuantTanh(std::size_t levels = 9);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -37,6 +44,8 @@ class QuantTanh : public gbo::nn::Module {
 
  private:
   std::size_t levels_;
+  // thresholds_[l - 1]: the least float whose quantized tanh reaches level l.
+  std::vector<float> thresholds_;
   Tensor cached_tanh_;
 };
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 namespace gbo::quant {
@@ -30,6 +31,20 @@ void scale_output(Tensor& out, bool scaled, float scale) {
   if (!scaled) return;
   float* p = out.data();
   for (std::size_t i = 0; i < out.numel(); ++i) p[i] *= scale;
+}
+
+/// n elements of MVM scratch: bump memory inside the caller's ArenaFrame
+/// when the context carries an arena, `own` otherwise.
+template <typename T>
+T* scratch(gbo::nn::EvalContext& ctx, std::size_t n, std::vector<T>& own) {
+  if (ctx.arena) {
+    if constexpr (std::is_same_v<T, float>)
+      return ctx.arena->alloc_floats(n);
+    else
+      return ctx.arena->alloc_words(n);
+  }
+  own.resize(n);
+  return own.data();
 }
 
 }  // namespace
@@ -59,7 +74,7 @@ void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
                            std::size_t k, bool want_panels, const float** bw,
                            const float** panels,
                            const gbo::gemm::PackedBinaryB** bwords,
-                           float* scale) const {
+                           float* scale, const ConvGeom* tap_major) const {
   gate_.ensure(latent.version(), [&] {
     bw_.resize(latent.numel());
     // Unscaled ±1 signs: the MVM runs over these (float panels and binary
@@ -71,7 +86,13 @@ void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
       panels_.resize(gemm::packed_b_floats(n, k));
       gemm::pack_b_t(n, k, bw_.data(), k, panels_.data());
     }
-    bwords_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
+    if (tap_major) {
+      std::vector<float> tm(bw_.size());
+      to_tap_major(bw_.data(), n, *tap_major, tm.data());
+      bwords_ = gemm::prepack_binary_b_t(n, k, tm.data(), k);
+    } else {
+      bwords_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
+    }
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
   });
   *bw = bw_.data();
@@ -123,40 +144,30 @@ Tensor QuantConv2d::backward(const Tensor& grad_out) {
 Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                               const float* bw, const float* panels,
                               const gbo::gemm::PackedBinaryB& bwords) const {
-  // XNOR/popcount route (DESIGN.md §8): every im2col patch value is either
-  // an input element or zero padding (on-grid), so a scan of the NCHW input
-  // decides the route before any patch matrix is materialized. Off-grid
-  // inputs (the raw-image stem, PLA-requantized activations) take the float
-  // panel route — bitwise equal for on-grid data, so the dispatch can never
-  // change an output bit.
-  if (x.ndim() == 4 && !bwords.empty() &&
-      gemm::binary_grid_check(x.data(), x.numel())) {
+  // Bit-plane route (DESIGN.md §8): every patch value is either an input
+  // element or zero padding (on-grid), so the NCHW input is validated and
+  // thermometer-encoded once per element, and each patch is gathered from
+  // those pixel planes as words — no float patch matrix, no per-patch
+  // encode. Off-grid inputs (the raw-image stem, PLA-requantized
+  // activations) abort the encode and take the float panel route — bitwise
+  // equal for on-grid data, so the dispatch can never change an output bit.
+  if (x.ndim() == 4 && !bwords.empty() && x.dim(1) == geom_.in_c &&
+      x.dim(2) == geom_.in_h && x.dim(3) == geom_.in_w) {
     const std::size_t batch = x.dim(0);
+    const std::size_t hw = geom_.in_h * geom_.in_w;
     const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
     const std::size_t m = batch * oh * ow;
     const std::size_t k = geom_.patch_len();
     gbo::ArenaFrame frame(ctx.arena);
-    Tensor cols_own, rows_own;
-    std::vector<std::uint64_t> pa_own;
-    float* cols;
-    float* rows;
-    std::uint64_t* pa;
-    if (ctx.arena) {
-      cols = ctx.arena->alloc_floats(m * k);
-      rows = ctx.arena->alloc_floats(m * out_c_);
-      pa = ctx.arena->alloc_words(gemm::packed_binary_a_words(m, k));
-    } else {
-      cols_own = Tensor({m, k});
-      cols = cols_own.data();
-      rows_own = Tensor({m, out_c_});
-      rows = rows_own.data();
-      pa_own.resize(gemm::packed_binary_a_words(m, k));
-      pa = pa_own.data();
-    }
-    im2col_into(x, geom_, cols);
-    // The grid check covered every patch source value, so the fused
-    // validate+encode cannot fail here.
-    if (gemm::pack_binary_a(m, k, cols, k, pa)) {
+    std::vector<std::uint64_t> pix_own, pa_own;
+    std::vector<float> rows_own;
+    std::uint64_t* pix = scratch(
+        ctx, gemm::packed_binary_pixel_words(batch * hw, geom_.in_c), pix_own);
+    if (gemm::pack_binary_pixels(x.data(), batch, geom_.in_c, hw, pix)) {
+      std::uint64_t* pa =
+          scratch(ctx, gemm::packed_binary_a_words(m, k), pa_own);
+      float* rows = scratch(ctx, m * out_c_, rows_own);
+      im2col_binary(pix, batch, geom_, pa);
       gemm::gemm_binary(m, out_c_, k, pa, bwords, rows, out_c_);
       Tensor out = ctx.make({batch, out_c_, oh, ow});
       gbo::rows_to_nchw_into(rows, batch, out_c_, oh, ow, out.data());
@@ -178,7 +189,7 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   const gemm::PackedBinaryB* bwords;
   float scale;
   cache_.get(weight_.value, scaled_, out_c_, geom_.patch_len(),
-             /*want_panels=*/true, &bw, &panels, &bwords, &scale);
+             /*want_panels=*/true, &bw, &panels, &bwords, &scale, &geom_);
   if (!hook_) {
     Tensor out = infer_mvm(x, ctx, bw, panels, *bwords);
     scale_output(out, scaled_, scale);
@@ -243,14 +254,8 @@ Tensor QuantLinear::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
     const std::size_t batch = x.dim(0);
     gbo::ArenaFrame frame(ctx.arena);
     std::vector<std::uint64_t> pa_own;
-    std::uint64_t* pa;
-    const std::size_t words = gemm::packed_binary_a_words(batch, in_);
-    if (ctx.arena) {
-      pa = ctx.arena->alloc_words(words);
-    } else {
-      pa_own.resize(words);
-      pa = pa_own.data();
-    }
+    std::uint64_t* pa =
+        scratch(ctx, gemm::packed_binary_a_words(batch, in_), pa_own);
     if (gemm::pack_binary_a(batch, in_, x.data(), in_, pa)) {
       Tensor y = ctx.make({batch, out_});
       gemm::gemm_binary(batch, out_, in_, pa, bwords, y.data(), out_);

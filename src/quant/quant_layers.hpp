@@ -108,10 +108,13 @@ class BinaryPanelCache {
   /// when `want_panels` — its packed float panels ([n, k] transposed-weight
   /// layout) in *panels; all rebuilt only when latent.version() moved.
   /// `want_panels` must be constant per cache (it is: the owning layer
-  /// derives it from its fixed shape).
+  /// derives it from its fixed shape). With `tap_major` (a conv layer's
+  /// geometry) the sign words follow the bit-plane conv route's tap-major
+  /// patch order (to_tap_major); the float copy and panels keep im2col order.
   void get(const Tensor& latent, bool scaled, std::size_t n, std::size_t k,
            bool want_panels, const float** bw, const float** panels,
-           const gbo::gemm::PackedBinaryB** bwords, float* scale) const;
+           const gbo::gemm::PackedBinaryB** bwords, float* scale,
+           const ConvGeom* tap_major = nullptr) const;
 
   /// Lifetime rebuild count (1 after warmup for a frozen weight).
   std::uint64_t rebuilds() const {

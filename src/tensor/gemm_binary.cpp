@@ -33,29 +33,29 @@ std::atomic<std::uint64_t> g_binary_mvms{0};
 // Every kernel computes the same value — the total popcount of a XOR w over
 // kBinaryPlanes planes — as a sum of per-word integer popcounts, which is
 // associative and overflow-free (P <= 8·k <= 2^40 for any realistic k), so
-// the variants are bitwise interchangeable by construction.
+// the variants are bitwise interchangeable by construction. All of them walk
+// a weight panel word by word: word i of the panel's 8 rows is XORed with
+// activation word i of each of the 8 planes (a[i·8 + t]), and lane r
+// accumulates row r's popcount.
 
-std::uint64_t xp1_scalar(const std::uint64_t* a, const std::uint64_t* w,
-                         std::size_t kw) {
-  std::uint64_t p = 0;
-  for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
-    const std::uint64_t* at = a + t * kw;
+void xpr_scalar(const std::uint64_t* a, const std::uint64_t* W,
+                std::size_t panels, std::size_t kw, std::uint64_t* pops) {
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::uint64_t* wp = W + p * kw * kBinaryPanel;
+    std::uint64_t acc[kBinaryPanel] = {0};
     for (std::size_t i = 0; i < kw; ++i)
-      p += static_cast<std::uint64_t>(std::popcount(at[i] ^ w[i]));
+      for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+        for (std::size_t r = 0; r < kBinaryPanel; ++r)
+          acc[r] += static_cast<std::uint64_t>(
+              std::popcount(a[i * kBinaryPlanes + t] ^ wp[i * kBinaryPanel + r]));
+    std::memcpy(pops + p * kBinaryPanel, acc, sizeof(acc));
   }
-  return p;
-}
-
-void xpr_scalar(const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
-                std::size_t kw, std::uint64_t* pops) {
-  for (std::size_t j = 0; j < n; ++j) pops[j] = xp1_scalar(a, W + j * kw, kw);
 }
 
 #if defined(GBO_BINARY_X86)
 
 // AVX2 has no vector popcount; the classic vpshufb nibble LUT counts bits in
-// each byte, then _mm256_sad_epu8 horizontally folds bytes into four 64-bit
-// lanes per 256-bit chunk.
+// each byte, then _mm256_sad_epu8 folds bytes into four 64-bit lanes.
 __attribute__((target("avx2"))) inline __m256i popcnt256(__m256i x) {
   const __m256i lut =
       _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
@@ -68,139 +68,60 @@ __attribute__((target("avx2"))) inline __m256i popcnt256(__m256i x) {
   return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
 }
 
-__attribute__((target("avx2"))) inline std::uint64_t hsum256(__m256i acc) {
-  const __m128i s = _mm_add_epi64(_mm256_castsi256_si128(acc),
-                                  _mm256_extracti128_si256(acc, 1));
-  return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
-         static_cast<std::uint64_t>(
-             _mm_cvtsi128_si64(_mm_unpackhi_epi64(s, s)));
-}
-
+// A panel is two YMM halves (rows 0-3, 4-7), each XORed against every
+// broadcast activation word.
 __attribute__((target("avx2"))) void xpr_avx2(const std::uint64_t* a,
                                               const std::uint64_t* W,
-                                              std::size_t n, std::size_t kw,
+                                              std::size_t panels,
+                                              std::size_t kw,
                                               std::uint64_t* pops) {
-  if (kw <= 4) {
-    // Hot path (k <= 256): all 8 activation planes live in YMM registers
-    // across the whole weight panel; each weight row is one masked load.
-    // Masked-out lanes are zero on both operands, so they XOR to zero.
-    __m256i mask;
-    {
-      const long long kOn = -1;
-      alignas(32) long long lanes[4] = {0, 0, 0, 0};
-      for (std::size_t i = 0; i < kw; ++i) lanes[i] = kOn;
-      mask = _mm256_load_si256(reinterpret_cast<const __m256i*>(lanes));
-    }
-    __m256i av[kBinaryPlanes];
-    for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-      av[t] = _mm256_maskload_epi64(
-          reinterpret_cast<const long long*>(a + t * kw), mask);
-    for (std::size_t j = 0; j < n; ++j) {
-      const __m256i wv = _mm256_maskload_epi64(
-          reinterpret_cast<const long long*>(W + j * kw), mask);
-      __m256i acc = popcnt256(_mm256_xor_si256(av[0], wv));
-      for (std::size_t t = 1; t < kBinaryPlanes; ++t)
-        acc = _mm256_add_epi64(acc, popcnt256(_mm256_xor_si256(av[t], wv)));
-      pops[j] = hsum256(acc);
-    }
-    return;
-  }
-  // General shape: chunk the k dimension; each weight chunk is loaded once
-  // and XORed against all 8 planes (8x fewer weight loads than per-plane).
-  const std::size_t kw4 = kw - kw % 4;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t* w = W + j * kw;
-    __m256i acc = _mm256_setzero_si256();
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kw4; i += 4) {
-      const __m256i wv =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + i));
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::uint64_t* wp = W + p * kw * kBinaryPanel;
+    __m256i acc0 = _mm256_setzero_si256(), acc1 = _mm256_setzero_si256();
+    for (std::size_t i = 0; i < kw; ++i) {
+      const __m256i w0 = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(wp + i * kBinaryPanel));
+      const __m256i w1 = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(wp + i * kBinaryPanel + 4));
       for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
-        const __m256i atv = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(a + t * kw + i));
-        acc = _mm256_add_epi64(acc, popcnt256(_mm256_xor_si256(atv, wv)));
+        const __m256i at = _mm256_set1_epi64x(
+            static_cast<long long>(a[i * kBinaryPlanes + t]));
+        acc0 = _mm256_add_epi64(acc0, popcnt256(_mm256_xor_si256(at, w0)));
+        acc1 = _mm256_add_epi64(acc1, popcnt256(_mm256_xor_si256(at, w1)));
       }
     }
-    for (std::size_t i = kw4; i < kw; ++i)
-      for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-        total += static_cast<std::uint64_t>(std::popcount(a[t * kw + i] ^ w[i]));
-    pops[j] = total + hsum256(acc);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pops + p * kBinaryPanel),
+                        acc0);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(pops + p * kBinaryPanel + 4), acc1);
   }
 }
 
-// AVX-512 VPOPCNTDQ: native 64-bit-lane popcount; ragged tails are masked
-// edge tiles — zero-masked loads on both operands XOR to zero, so the dead
-// lanes contribute nothing.
+// AVX-512 VPOPCNTDQ: a panel is one ZMM; each activation word is a memory
+// broadcast operand of the XOR, so one word costs XOR + VPOPCNTQ + ADD for
+// all 8 weight rows.
 __attribute__((target("avx512f,avx512vpopcntdq"))) void xpr_avx512(
-    const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
+    const std::uint64_t* a, const std::uint64_t* W, std::size_t panels,
     std::size_t kw, std::uint64_t* pops) {
-  if (kw <= 8) {
-    // Hot path (k <= 512, every layer of the paper's models): all 8
-    // activation planes live in ZMM registers across the whole weight
-    // panel; each weight row is one masked load + 8 XOR/VPOPCNTQ pairs.
-    const __mmask8 mask =
-        kw == 8 ? static_cast<__mmask8>(0xff)
-                : static_cast<__mmask8>((1u << kw) - 1u);
-    __m512i av[kBinaryPlanes];
-    for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-      av[t] = _mm512_maskz_loadu_epi64(mask, a + t * kw);
-    for (std::size_t j = 0; j < n; ++j) {
-      const __m512i wv = _mm512_maskz_loadu_epi64(mask, W + j * kw);
-      __m512i acc = _mm512_popcnt_epi64(_mm512_xor_si512(av[0], wv));
-      for (std::size_t t = 1; t < kBinaryPlanes; ++t)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_xor_si512(av[t], wv)));
-      pops[j] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
-    }
-    return;
-  }
-  if (kw <= 16) {
-    // Two-vector tier (k <= 1024, covers the VGG 3x3 conv patches, k = 576):
-    // 16 ZMM hold the planes, each weight row is two masked loads.
-    const __mmask8 m1 = kw >= 16 ? static_cast<__mmask8>(0xff)
-                                 : static_cast<__mmask8>((1u << (kw - 8)) - 1u);
-    __m512i av0[kBinaryPlanes], av1[kBinaryPlanes];
-    for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
-      av0[t] = _mm512_loadu_si512(a + t * kw);
-      av1[t] = _mm512_maskz_loadu_epi64(m1, a + t * kw + 8);
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      const __m512i wv0 = _mm512_loadu_si512(W + j * kw);
-      const __m512i wv1 = _mm512_maskz_loadu_epi64(m1, W + j * kw + 8);
-      __m512i acc = _mm512_add_epi64(
-          _mm512_popcnt_epi64(_mm512_xor_si512(av0[0], wv0)),
-          _mm512_popcnt_epi64(_mm512_xor_si512(av1[0], wv1)));
-      for (std::size_t t = 1; t < kBinaryPlanes; ++t) {
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_xor_si512(av0[t], wv0)));
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_xor_si512(av1[t], wv1)));
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::uint64_t* wp = W + p * kw * kBinaryPanel;
+    __m512i acc0 = _mm512_setzero_si512(), acc1 = _mm512_setzero_si512();
+    for (std::size_t i = 0; i < kw; ++i) {
+      const __m512i wv = _mm512_loadu_si512(wp + i * kBinaryPanel);
+      const std::uint64_t* ai = a + i * kBinaryPlanes;
+      // Two accumulators halve the add dependency chain.
+      for (std::size_t t = 0; t < kBinaryPlanes; t += 2) {
+        acc0 = _mm512_add_epi64(
+            acc0, _mm512_popcnt_epi64(_mm512_xor_si512(
+                      wv, _mm512_set1_epi64(static_cast<long long>(ai[t])))));
+        acc1 = _mm512_add_epi64(
+            acc1,
+            _mm512_popcnt_epi64(_mm512_xor_si512(
+                wv, _mm512_set1_epi64(static_cast<long long>(ai[t + 1])))));
       }
-      pops[j] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
     }
-    return;
-  }
-  // General shape: each weight chunk loaded once, XORed against all planes.
-  const std::size_t kw8 = kw - kw % 8;
-  const __mmask8 edge = static_cast<__mmask8>((1u << (kw - kw8)) - 1u);
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t* w = W + j * kw;
-    __m512i acc = _mm512_setzero_si512();
-    for (std::size_t i = 0; i < kw8; i += 8) {
-      const __m512i wv = _mm512_loadu_si512(w + i);
-      for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_xor_si512(
-                     _mm512_loadu_si512(a + t * kw + i), wv)));
-    }
-    if (kw8 < kw) {
-      const __m512i wv = _mm512_maskz_loadu_epi64(edge, w + kw8);
-      for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-        acc = _mm512_add_epi64(
-            acc, _mm512_popcnt_epi64(_mm512_xor_si512(
-                     _mm512_maskz_loadu_epi64(edge, a + t * kw + kw8), wv)));
-    }
-    pops[j] = static_cast<std::uint64_t>(_mm512_reduce_add_epi64(acc));
+    _mm512_storeu_si512(pops + p * kBinaryPanel,
+                        _mm512_add_epi64(acc0, acc1));
   }
 }
 
@@ -208,28 +129,26 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void xpr_avx512(
 
 #if defined(__ARM_NEON)
 
-void xpr_neon(const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
-              std::size_t kw, std::uint64_t* pops) {
-  const std::size_t kw2 = kw - kw % 2;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t* w = W + j * kw;
-    std::uint64_t total = 0;
-    uint64x2_t acc = vdupq_n_u64(0);
-    for (std::size_t i = 0; i < kw2; i += 2) {
-      const uint64x2_t wv = vld1q_u64(w + i);
-      for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
-        const uint8x16_t x =
-            veorq_u8(vreinterpretq_u8_u64(vld1q_u64(a + t * kw + i)),
-                     vreinterpretq_u8_u64(wv));
-        acc = vaddq_u64(acc,
-                        vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(x)))));
+// A panel is four 2-lane quarters, each XORed against every broadcast
+// activation word; vcnt counts bytes and the pairwise widening adds fold
+// them into the two 64-bit lanes.
+void xpr_neon(const std::uint64_t* a, const std::uint64_t* W,
+              std::size_t panels, std::size_t kw, std::uint64_t* pops) {
+  for (std::size_t p = 0; p < panels; ++p) {
+    const std::uint64_t* wp = W + p * kw * kBinaryPanel;
+    for (std::size_t q = 0; q < kBinaryPanel; q += 2) {
+      uint64x2_t acc = vdupq_n_u64(0);
+      for (std::size_t i = 0; i < kw; ++i) {
+        const uint64x2_t wv = vld1q_u64(wp + i * kBinaryPanel + q);
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
+          const uint8x16_t x = vreinterpretq_u8_u64(
+              veorq_u64(wv, vdupq_n_u64(a[i * kBinaryPlanes + t])));
+          acc = vaddq_u64(acc,
+                          vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(x)))));
+        }
       }
+      vst1q_u64(pops + p * kBinaryPanel + q, acc);
     }
-    total += vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    for (std::size_t i = kw2; i < kw; ++i)
-      for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-        total += static_cast<std::uint64_t>(std::popcount(a[t * kw + i] ^ w[i]));
-    pops[j] = total;
   }
 }
 
@@ -346,15 +265,16 @@ PackedBinaryB prepack_binary_b_t(std::size_t n, std::size_t k, const float* B,
   pb.kw = binary_words(k);
   if (n == 0 || k == 0) return pb;  // empty handle, no pack counted
   g_binary_packs.fetch_add(1, std::memory_order_relaxed);
-  pb.words.assign(n * pb.kw, 0);
-  std::uint64_t* words = pb.words.data();
   const std::size_t kw = pb.kw;
+  pb.words.assign(binary_panels(n) * kw * kBinaryPanel, 0);
+  std::uint64_t* words = pb.words.data();
   parallel_for(0, n, 16, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t j = lo; j < hi; ++j) {
       const float* src = B + j * ldb;
-      std::uint64_t* row = words + j * kw;
+      std::uint64_t* lane =
+          words + (j / kBinaryPanel) * kw * kBinaryPanel + j % kBinaryPanel;
       for (std::size_t p = 0; p < k; ++p)
-        if (src[p] >= 0.0f) row[p / 64] |= 1ull << (p % 64);
+        if (src[p] >= 0.0f) lane[(p / 64) * kBinaryPanel] |= 1ull << (p % 64);
     }
   });
   return pb;
@@ -362,25 +282,70 @@ PackedBinaryB prepack_binary_b_t(std::size_t n, std::size_t k, const float* B,
 
 namespace {
 
-/// Level 0..8 of an on-grid value, -1 otherwise. (x + 1)·4 alone is not a
-/// sufficient test: the addition ROUNDS, so a tiny off-grid value (e.g.
-/// 1e-8) lands on an integer — the reconstruction comparison is what makes
-/// the test exact (grid values round-trip exactly; NaN fails the range
-/// comparison).
-int grid_level(float x) {
-  const float lf = (x + 1.0f) * 4.0f;
-  if (!(lf >= 0.0f && lf <= 8.0f)) return -1;
-  const int lvl = static_cast<int>(lf);
-  if (static_cast<float>(lvl) != lf) return -1;
-  if (static_cast<float>(lvl) * 0.25f - 1.0f != x) return -1;
-  return lvl;
+/// Levels 0..8 of n values into lv; false if any value is off the 9-level
+/// grid. The level is the count of grid points l·0.25 - 1 (l = 1..8) the
+/// value reaches, and the value is on-grid iff that level reconstructs it
+/// exactly (NaN reaches none and fails the reconstruction; so does any
+/// value between or beyond grid points, however close — e.g. 1e-8, which a
+/// rounding test of (x + 1)·4 would wrongly admit). Comparisons only, so
+/// the loop vectorizes.
+bool grid_levels(const float* x, std::size_t n, std::uint8_t* lv) {
+  unsigned bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = x[i];
+    int l = 0;
+    for (int j = 1; j < 9; ++j)
+      l += v >= static_cast<float>(j) * 0.25f - 1.0f ? 1 : 0;
+    bad |= static_cast<float>(l) * 0.25f - 1.0f != v ? 1u : 0u;
+    lv[i] = static_cast<std::uint8_t>(l);
+  }
+  return bad == 0;
+}
+
+/// Thermometer code of `groups` 8-lane level words (byte q of lanes[g]
+/// is the level, 0..8, of lane 8g + q): word planes[t] gets bit 8g + q iff
+/// t < level. SWAR over 8 lanes at a time — level + (127 - t) carries into
+/// a byte's top bit exactly when level > t (no cross-byte carry: 8 + 127 <
+/// 256) — and one multiply gathers the 8 top bits into a byte.
+void encode_planes(const std::uint64_t* lanes, std::size_t groups,
+                   std::uint64_t* planes) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kGather = 0x0102040810204080ull;
+  for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
+    const std::uint64_t bias = (127 - t) * kOnes;
+    std::uint64_t word = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::uint64_t top = ((lanes[g] + bias) >> 7) & kOnes;
+      word |= ((top * kGather) >> 56) << (8 * g);
+    }
+    planes[t] = word;
+  }
+}
+
+/// In-place transpose of an 8x8 byte matrix held as 8 words (row r = word
+/// r, column q = byte q): afterwards byte q of word r is the old byte r of
+/// word q.
+void transpose8x8_bytes(std::uint64_t* r) {
+  constexpr std::uint64_t kMask[3] = {0x00FF00FF00FF00FFull,
+                                      0x0000FFFF0000FFFFull,
+                                      0x00000000FFFFFFFFull};
+  for (std::size_t level = 0, step = 1; level < 3; ++level, step *= 2)
+    for (std::size_t i = 0; i < 8; ++i)
+      if ((i / step) % 2 == 0) {
+        const std::size_t shift = 8 * step;
+        const std::uint64_t t = ((r[i] >> shift) ^ r[i + step]) & kMask[level];
+        r[i + step] ^= t;
+        r[i] ^= t << shift;
+      }
 }
 
 }  // namespace
 
 bool binary_grid_check(const float* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (grid_level(p[i]) < 0) return false;
+  alignas(64) std::uint8_t lv[256];
+  for (std::size_t i = 0; i < n; i += 256)
+    if (!grid_levels(p + i, std::min<std::size_t>(256, n - i), lv))
+      return false;
   return true;
 }
 
@@ -389,29 +354,67 @@ bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
   const std::size_t kw = binary_words(k);
   std::atomic<bool> ok{true};
   parallel_for(0, m, 16, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t lanes[8] = {};
     for (std::size_t i = lo; i < hi; ++i) {
       if (!ok.load(std::memory_order_relaxed)) return;
       const float* src = A + i * lda;
-      std::uint64_t* row = dst + i * kBinaryPlanes * kw;
-      // Accumulate each 64-lane chunk's plane words in registers — one
-      // store per plane per word instead of a read-modify-write per
-      // element — then spill to the strided plane layout.
+      std::uint64_t* row = dst + i * kw * kBinaryPlanes;
       for (std::size_t word = 0; word < kw; ++word) {
-        std::uint64_t pl[kBinaryPlanes] = {0};
-        const std::size_t p_end = std::min(k, (word + 1) * 64);
-        for (std::size_t p = word * 64; p < p_end; ++p) {
-          const int lvl = grid_level(src[p]);
-          if (lvl < 0) {
+        const std::size_t n = std::min<std::size_t>(64, k - word * 64);
+        if (n % 8 != 0) lanes[n / 8] = 0;  // ragged group: dead lanes read 0
+        if (!grid_levels(src + word * 64, n,
+                         reinterpret_cast<std::uint8_t*>(lanes))) {
+          ok.store(false, std::memory_order_relaxed);
+          return;
+        }
+        encode_planes(lanes, (n + 7) / 8, row + word * kBinaryPlanes);
+      }
+    }
+  });
+  return ok.load(std::memory_order_relaxed);
+}
+
+bool pack_binary_pixels(const float* x, std::size_t batch,
+                        std::size_t channels, std::size_t hw,
+                        std::uint64_t* dst) {
+  const std::size_t cw = binary_words(channels);
+  // Blocks of up to 64 pixels of one image, 64 channels at a time: each
+  // channel's run of pixels is decoded contiguously from NCHW into a
+  // [channel][pixel] level tile, 8x8 byte transposes turn the tile into
+  // per-pixel channel lanes, and each pixel's lanes encode as one word.
+  constexpr std::size_t kBlock = 64;
+  const std::size_t blocks = (hw + kBlock - 1) / kBlock;
+  std::atomic<bool> ok{true};
+  parallel_for(0, batch * blocks, 4, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t tile[64][kBlock / 8] = {};   // [channel][pixel group]
+    std::uint64_t lanes[kBlock][64 / 8] = {};  // [pixel][channel group]
+    for (std::size_t b = lo; b < hi; ++b) {
+      if (!ok.load(std::memory_order_relaxed)) return;
+      const std::size_t n = b / blocks, p0 = (b % blocks) * kBlock;
+      const std::size_t np = std::min(kBlock, hw - p0);
+      const float* img = x + n * channels * hw + p0;
+      std::uint64_t* out = dst + (n * hw + p0) * cw * kBinaryPlanes;
+      for (std::size_t c0 = 0; c0 < channels; c0 += 64) {
+        const std::size_t nc = std::min<std::size_t>(64, channels - c0);
+        const std::size_t groups = (nc + 7) / 8;
+        for (std::size_t c = 0; c < nc; ++c)
+          if (!grid_levels(img + (c0 + c) * hw, np,
+                           reinterpret_cast<std::uint8_t*>(tile[c]))) {
             ok.store(false, std::memory_order_relaxed);
             return;
           }
-          // Thermometer code: level l sets planes 0..l-1 (+1 pulses), the
-          // remaining planes read as -1 through the XOR identity.
-          const std::uint64_t bit = 1ull << (p % 64);
-          for (int t = 0; t < lvl; ++t) pl[t] |= bit;
-        }
-        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-          row[t * kw + word] = pl[t];
+        for (std::size_t c = nc; c < groups * 8; ++c)  // dead channels: 0
+          std::fill(tile[c], tile[c] + kBlock / 8, 0ull);
+        for (std::size_t pg = 0; pg * 8 < np; ++pg)
+          for (std::size_t g = 0; g < groups; ++g) {
+            std::uint64_t blk[8];
+            for (std::size_t r = 0; r < 8; ++r) blk[r] = tile[g * 8 + r][pg];
+            transpose8x8_bytes(blk);
+            for (std::size_t q = 0; q < 8; ++q) lanes[pg * 8 + q][g] = blk[q];
+          }
+        for (std::size_t p = 0; p < np; ++p)
+          encode_planes(lanes[p], groups,
+                        out + (p * cw + c0 / 64) * kBinaryPlanes);
       }
     }
   });
@@ -440,15 +443,27 @@ void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
   // (8k - 2P)/8 is an integer multiple of 1/4 below 2^24: the int->float
   // conversion and the 0.125f (power of two) multiply are both exact, which
   // is what makes this equal to the float kernels bit for bit.
-  parallel_for(0, m, 4, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::uint64_t> pops(n);
+  // The kernel runs over chunks of kChunk weight rows, so the popcount
+  // buffer lives on the stack; the last chunk's padding-row lanes are
+  // computed and dropped.
+  constexpr std::size_t kChunk = 32 * kBinaryPanel;
+  // Rows per task: at least ~64K word XOR-popcounts, so unit-batch serving
+  // shapes run inline instead of paying the pool's wake-up per call.
+  const std::size_t grain =
+      std::max<std::size_t>(1, 65536 / (binary_panels(n) * kw * kBinaryPanel *
+                                        kBinaryPlanes / 8));
+  parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
+    std::uint64_t pops[kChunk] = {};
     for (std::size_t i = lo; i < hi; ++i) {
       const std::uint64_t* ai = packedA + i * kBinaryPlanes * kw;
       float* Ci = C + i * ldc;
-      fn(ai, wwords, n, kw, pops.data());
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::int64_t pop = static_cast<std::int64_t>(pops[j]);
-        Ci[j] = static_cast<float>(mk - 2 * pop) * 0.125f;
+      for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
+        const std::size_t nj = std::min(kChunk, n - j0);
+        fn(ai, wwords + j0 * kw, binary_panels(nj), kw, pops);
+        for (std::size_t j = 0; j < nj; ++j) {
+          const std::int64_t pop = static_cast<std::int64_t>(pops[j]);
+          Ci[j0 + j] = static_cast<float>(mk - 2 * pop) * 0.125f;
+        }
       }
     }
   });

@@ -21,10 +21,10 @@
 // re-quantized activations).
 //
 // Micro-kernels are selected once per process from a runtime CPUID-probed
-// registry (scalar / AVX2 nibble-LUT / AVX-512 VPOPCNTDQ with masked edge
-// tiles / NEON); every variant sums the same integer popcounts, so the
-// kernel choice can never change an output bit. GBO_FORCE_SCALAR_KERNELS=1
-// pins the scalar kernel (the CI fallback leg).
+// registry (scalar / AVX2 nibble-LUT / AVX-512 VPOPCNTDQ / NEON), each
+// walking 8-row weight panels; every variant sums the same integer
+// popcounts, so the kernel choice can never change an output bit.
+// GBO_FORCE_SCALAR_KERNELS=1 pins the scalar kernel (the CI fallback leg).
 #pragma once
 
 #include <cstddef>
@@ -42,11 +42,24 @@ inline constexpr std::size_t kBinaryPlanes = 8;
 /// so they XOR to zero and never reach the popcount.
 inline std::size_t binary_words(std::size_t k) { return (k + 63) / 64; }
 
+/// Weight rows per packed panel: the kernels XOR one activation word
+/// against the same word of kBinaryPanel weight rows at once (one 512-bit
+/// vector), so each lane accumulates its own row's popcount and no
+/// horizontal reduction is needed.
+inline constexpr std::size_t kBinaryPanel = 8;
+
+/// Panels covering n weight rows (the last one zero-padded).
+inline std::size_t binary_panels(std::size_t n) {
+  return (n + kBinaryPanel - 1) / kBinaryPanel;
+}
+
 /// Packed sign words of a binarized weight [n, k] (transposed storage, the
 /// A·Bᵀ weight layout): row j's bit p is `B[j, p] >= 0` — the exact
-/// convention of quant::binarize — at words[j·kw + p/64], bit p%64.
+/// convention of quant::binarize — at words[((j / 8)·kw + p / 64)·8 + j % 8],
+/// bit p % 64: panels of kBinaryPanel rows, word-interleaved. Padding rows
+/// of the last panel are zero.
 struct PackedBinaryB {
-  std::vector<std::uint64_t> words;  // [n][kw]
+  std::vector<std::uint64_t> words;  // [panels][kw][kBinaryPanel]
   std::size_t n = 0, k = 0, kw = 0;
   bool empty() const { return words.empty(); }
 };
@@ -62,35 +75,52 @@ PackedBinaryB prepack_binary_b_t(std::size_t n, std::size_t k, const float* B,
 /// activation encodes are per-request by design and not counted).
 std::uint64_t binary_pack_count();
 
-/// Words of A-side scratch for an [m, k] activation block: m rows of
-/// kBinaryPlanes bit-sliced planes, kw words each.
+/// Words of A-side scratch for an [m, k] activation block: m rows of kw
+/// words, each word holding kBinaryPlanes thermometer bit-planes.
 inline std::size_t packed_binary_a_words(std::size_t m, std::size_t k) {
   return m * kBinaryPlanes * binary_words(k);
 }
 
-/// True when every value is exactly on the 9-level grid. The conv route
-/// runs this over the NCHW input before materializing the patch matrix
-/// (padding contributes zeros, which are on-grid).
+/// True when every value is exactly on the 9-level grid.
 bool binary_grid_check(const float* p, std::size_t n);
 
-/// Encodes A[m, k] (lda) into thermometer bit-planes: row i's plane t at
-/// dst[(i·kBinaryPlanes + t)·kw], bit p set iff t < level(A[i, p]). Returns
-/// false — dst contents then unspecified — if any value is off the 9-level
-/// grid; this fused validate+encode is the quant layers' route dispatch.
+/// Encodes A[m, k] (lda) into thermometer bit-planes, word-major: row i's
+/// word w of plane t at dst[(i·kw + w)·kBinaryPlanes + t], bit p % 64 of
+/// word p / 64 set iff t < level(A[i, p]). Returns false — dst contents
+/// then unspecified — if any value is off the 9-level grid; this fused
+/// validate+encode is the quant layers' route dispatch.
 bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
                    std::size_t lda, std::uint64_t* dst);
 
+/// Words of pixel-plane scratch for an NCHW activation of `pixels` = N·H·W
+/// pixels and `channels` channels: one packed row of `channels` per pixel.
+inline std::size_t packed_binary_pixel_words(std::size_t pixels,
+                                             std::size_t channels) {
+  return packed_binary_a_words(pixels, channels);
+}
+
+/// Encodes an NCHW activation x[batch, channels, hw] once per element into
+/// pixel planes: pixel n·hw + p is one pack_binary_a row over its channel
+/// vector x[n, :, p] — the A-side encode of the bit-plane conv route, which
+/// then gathers patches as words (im2col_binary) instead of encoding every
+/// patch element. Same fused validate+encode contract as pack_binary_a:
+/// false when any value is off the 9-level grid.
+bool pack_binary_pixels(const float* x, std::size_t batch,
+                        std::size_t channels, std::size_t hw,
+                        std::uint64_t* dst);
+
 /// One registry entry: xor_popcount_row fills pops[j] with the total
 /// popcount of (a XOR W_j) over kBinaryPlanes planes of kw words, for every
-/// weight row j in [0, n) (a: planes contiguous, kw words each; W: n rows
-/// of kw words, the PackedBinaryB layout). Row granularity is the perf
-/// contract: for kw <= 8 — k <= 512, every layer in the paper's models —
-/// the SIMD kernels keep all 8 activation planes in registers across the
-/// whole weight panel and load each weight row exactly once.
+/// weight row j of `panels` weight panels (j < panels·kBinaryPanel; a: one
+/// pack_binary_a row; W: the PackedBinaryB panel layout). Panel
+/// granularity is the perf contract: each weight word is loaded once and
+/// XORed against all 8 activation planes, one lane per weight row, so the
+/// per-row popcounts accumulate in place with no horizontal reduction.
 struct BinaryKernel {
   const char* name;
   void (*xor_popcount_row)(const std::uint64_t* a, const std::uint64_t* W,
-                           std::size_t n, std::size_t kw, std::uint64_t* pops);
+                           std::size_t panels, std::size_t kw,
+                           std::uint64_t* pops);
 };
 
 /// The micro-kernel selected once per process: best CPUID-supported ISA, or

@@ -31,6 +31,21 @@ Tensor im2col(const Tensor& input, const ConvGeom& g);
 /// written, padding included; bitwise identical to im2col.
 void im2col_into(const Tensor& input, const ConvGeom& g, float* out);
 
+/// Bit-plane lowering of the binary conv route (DESIGN.md §8): gathers each
+/// output pixel's patch as words from pixel planes (gemm::pack_binary_pixels
+/// layout) into packed A rows (gemm::pack_binary_a layout) over the
+/// tap-major patch order (ky, kx, c) — each tap contributes its pixel's
+/// in_c channel bits per plane. Border taps read the zero-padding value,
+/// level 4 (planes 0..3 set). Patch order does not change the popcount sum,
+/// so the weight side only has to use the same order (to_tap_major).
+void im2col_binary(const std::uint64_t* pixel_planes, std::size_t batch,
+                   const ConvGeom& g, std::uint64_t* dst);
+
+/// Permutes the columns of n rows of patch length from the im2col order
+/// (c, ky, kx) to the tap-major order (ky, kx, c) of im2col_binary.
+void to_tap_major(const float* rows, std::size_t n, const ConvGeom& g,
+                  float* dst);
+
 /// Inverse scatter-add of im2col: columns [N * out_h * out_w, C*k*k]
 /// -> gradient w.r.t. input [N, C, H, W].
 Tensor col2im(const Tensor& columns, std::size_t batch, const ConvGeom& g);

@@ -129,6 +129,30 @@ TEST(GemmBinary, OffGridInputAbortsPack) {
   EXPECT_TRUE(pack_binary_a(1, 4, a.data(), 4, dst.data()));
 }
 
+TEST(GemmBinary, PixelPlanesArePackedChannelRows) {
+  // pack_binary_pixels over NCHW == pack_binary_a over the [pixel, channel]
+  // matrix, word for word — for channel counts inside one word, exactly
+  // one word, and across words, with a ragged pixel block.
+  for (std::size_t c : {3u, 64u, 70u}) {
+    SCOPED_TRACE(::testing::Message() << "c=" << c);
+    const std::size_t batch = 2, hw = 67;
+    const std::vector<float> x = make_grid(batch * c, hw);  // NCHW
+    std::vector<float> rows(batch * hw * c);                // [N·HW, C]
+    for (std::size_t n = 0; n < batch; ++n)
+      for (std::size_t ch = 0; ch < c; ++ch)
+        for (std::size_t p = 0; p < hw; ++p)
+          rows[(n * hw + p) * c + ch] = x[(n * c + ch) * hw + p];
+    std::vector<std::uint64_t> pix(packed_binary_pixel_words(batch * hw, c));
+    std::vector<std::uint64_t> ref(packed_binary_a_words(batch * hw, c));
+    ASSERT_TRUE(pack_binary_pixels(x.data(), batch, c, hw, pix.data()));
+    ASSERT_TRUE(pack_binary_a(batch * hw, c, rows.data(), c, ref.data()));
+    EXPECT_EQ(pix, ref);
+    std::vector<float> bad = x;
+    bad[bad.size() - 1] = 0.3f;
+    EXPECT_FALSE(pack_binary_pixels(bad.data(), batch, c, hw, pix.data()));
+  }
+}
+
 TEST(GemmBinary, GridCheckAcceptsExactlyTheNineLevels) {
   for (int l = 0; l <= 8; ++l) {
     const float v = static_cast<float>(l) * 0.25f - 1.0f;

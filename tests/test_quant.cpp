@@ -1,10 +1,18 @@
 #include "quant/act_quant.hpp"
+#include "nn/eval_context.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <thread>
+#include <vector>
 
 namespace gbo::quant {
 namespace {
@@ -123,6 +131,66 @@ TEST(QuantTanh, BackwardIsTanhDerivative) {
   for (std::size_t i = 0; i < 3; ++i) {
     const float t = std::tanh(x[i]);
     EXPECT_NEAR(gx[i], 1.0f - t * t, 1e-5f);
+  }
+}
+
+/// Bits of f, with every NaN folded onto one pattern (a NaN result only has
+/// to be a NaN, not carry a particular payload).
+std::uint32_t canonical_bits(float f) {
+  return f != f ? 0x7fc00000u : std::bit_cast<std::uint32_t>(f);
+}
+
+TEST(QuantTanh, ThresholdInferEqualsTanhQuantizeOnEveryFloat) {
+  // Exhaustive over all 2^32 bit patterns (finite, ±0, ±inf, NaN): the
+  // threshold infer path must return exactly quantize_value(tanh(x), 9).
+  // Plain threads rather than the pool, so the check keeps its wall time
+  // when the suite pins the pool to one thread.
+  const QuantTanh act(9);
+  constexpr std::uint64_t kChunk = 1u << 16, kChunks = (1ull << 32) / kChunk;
+  std::atomic<std::uint64_t> next{0}, mismatches{0};
+  std::atomic<std::uint32_t> first_bad{0};
+  const auto worker = [&] {
+    Tensor x({kChunk});
+    nn::EvalContext ctx;
+    for (std::uint64_t c; (c = next.fetch_add(1)) < kChunks;) {
+      float* p = x.data();
+      for (std::uint64_t i = 0; i < kChunk; ++i)
+        p[i] = std::bit_cast<float>(static_cast<std::uint32_t>(c * kChunk + i));
+      const Tensor y = act.infer(x, ctx);
+      const float* q = y.data();
+      for (std::uint64_t i = 0; i < kChunk; ++i) {
+        const float ref = quantize_value(std::tanh(p[i]), 9);
+        if (canonical_bits(q[i]) != canonical_bits(ref)) {
+          mismatches.fetch_add(1);
+          first_bad.store(static_cast<std::uint32_t>(c * kChunk + i));
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < std::max(4u, std::thread::hardware_concurrency());
+       ++t)
+    threads.emplace_back(worker);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "e.g. bits 0x" << std::hex << first_bad.load();
+}
+
+TEST(QuantTanh, ThresholdInferMatchesForwardAtOtherLevelCounts) {
+  Rng rng(46);
+  Tensor x({20000});
+  ops::fill_normal(x, rng, 0.0f, 1.5f);
+  x[0] = std::numeric_limits<float>::quiet_NaN();
+  x[1] = -std::numeric_limits<float>::infinity();
+  x[2] = -0.0f;
+  for (std::size_t levels : {2u, 3u, 5u, 7u, 17u}) {
+    QuantTanh act(levels);
+    nn::EvalContext ctx;
+    const Tensor y = act.infer(x, ctx);
+    const Tensor ref = act.forward(x);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      ASSERT_EQ(canonical_bits(y[i]), canonical_bits(ref[i]))
+          << "levels=" << levels << " x=" << x[i];
   }
 }
 

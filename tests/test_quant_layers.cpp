@@ -101,6 +101,48 @@ TEST(QuantConv2d, InferRoutesOnGridInputThroughBinaryKernel) {
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]);
 }
 
+TEST(QuantConv2d, BitPlaneRouteBitwiseAcrossGeometries) {
+  // Channel counts below, at and across the 64-bit word (taps straddling
+  // words, multi-word pixels), odd kernels, strides and paddings: the
+  // pixel-plane encode + word gather must equal forward() bit for bit.
+  struct Case {
+    std::size_t c, h, k, stride, pad;
+  };
+  const Case cases[] = {{1, 4, 3, 1, 1},  {3, 6, 3, 2, 1},  {16, 5, 3, 1, 1},
+                        {48, 4, 3, 1, 1}, {64, 3, 3, 1, 1}, {100, 3, 3, 1, 0},
+                        {5, 7, 5, 2, 2},  {7, 4, 1, 1, 0},  {130, 2, 3, 1, 1}};
+  Rng rng(24);
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(::testing::Message() << "c=" << cs.c << " h=" << cs.h
+                                      << " k=" << cs.k << " s=" << cs.stride
+                                      << " p=" << cs.pad);
+    ConvGeom g{.in_c = cs.c, .in_h = cs.h, .in_w = cs.h + 1, .k = cs.k,
+               .stride = cs.stride, .pad = cs.pad};
+    QuantConv2d conv(6, g, rng, /*scaled=*/true);
+    Tensor x({2, cs.c, cs.h, cs.h + 1});
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      x[i] = static_cast<float>(rng.uniform_int(0, 8)) * 0.25f - 1.0f;
+    Tensor ref = conv.forward(x);
+    for (ScratchArena* arena : {static_cast<ScratchArena*>(nullptr),
+                                new ScratchArena}) {
+      gbo::nn::EvalContext ctx(Rng(1), arena);
+      const std::uint64_t mvms_before = gemm::binary_mvm_count();
+      Tensor y = conv.infer(x, ctx);
+      EXPECT_EQ(gemm::binary_mvm_count(), mvms_before + 1);
+      ASSERT_EQ(y.shape(), ref.shape());
+      for (std::size_t i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], ref[i]);
+      delete arena;
+    }
+    x[x.numel() / 2] = 0.3f;  // one off-grid value: float route, same bits
+    ref = conv.forward(x);
+    gbo::nn::EvalContext ctx;
+    const std::uint64_t mvms_before = gemm::binary_mvm_count();
+    Tensor y = conv.infer(x, ctx);
+    EXPECT_EQ(gemm::binary_mvm_count(), mvms_before);
+    for (std::size_t i = 0; i < y.numel(); ++i) ASSERT_EQ(y[i], ref[i]);
+  }
+}
+
 TEST(QuantLinear, NoBiasParameter) {
   Rng rng(2);
   QuantLinear fc(4, 3, rng);
