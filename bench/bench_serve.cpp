@@ -151,6 +151,7 @@ Json run_scenario(const char* name, const serve::Backend& backend,
   cfg.num_workers = 1;
   serve::InferenceServer one(
       serve::ServerSpec{}.primary(backend).dataset(ds).config(cfg));
+  const serve::RouterPlan plan = one.plan_trace(trace);
   obs::begin_session();
   const serve::ServeReport rep1 = one.run(trace);
   const obs::TraceSnapshot snap1 = obs::end_session();
@@ -248,13 +249,12 @@ Json run_scenario(const char* name, const serve::Backend& backend,
                       : 0.0);
   j.set("zero_steady_packs", zero_packs);
   if (stochastic) j.set("noisy_fused", noisy_fused);
-  // Legacy (non-SLO) runs admit and deliver every request exactly once, so
-  // the oracle is a pure function of the trace length.
-  j.set("trace",
-        trace_section(name, snap1, snapN,
-                      serve::expected_causal_fingerprint(trace.size()),
-                      serve::expected_causal_event_count(trace.size()),
-                      steady_rings, trace_out, gates));
+  // SLO-off runs execute the always-serve ledger: every request routed,
+  // admitted and delivered exactly once, reconstructed from the plan.
+  j.set("trace", trace_section(name, snap1, snapN,
+                               serve::expected_causal_fingerprint(plan),
+                               serve::expected_causal_event_count(plan),
+                               steady_rings, trace_out, gates));
   return j;
 }
 
@@ -276,15 +276,14 @@ Json run_scenario(const char* name, const serve::Backend& backend,
 ///                            tripped the breaker
 /// All gated quantities live on the virtual clock or are bitwise payload
 /// comparisons — machine-independent by construction.
-Json run_slo_scenario(const serve::Backend& primary,
-                      const serve::Backend& degraded,
-                      const data::Dataset& ds,
-                      const std::vector<serve::Arrival>& trace,
-                      std::size_t workers, const serve::ServeConfig& base,
-                      const std::string& trace_out, GateState* gates) {
+Json run_overload_scenario(const serve::Backend& primary,
+                           const serve::Backend& degraded,
+                           const data::Dataset& ds,
+                           const std::vector<serve::Arrival>& trace,
+                           std::size_t workers,
+                           const serve::ServeConfig& base,
+                           const std::string& trace_out, GateState* gates) {
   const char* name = "slo_flash";
-  const serve::Plan plan = serve::plan(trace, base.slo, base.batch);
-
   serve::ServeConfig cfg = base;
   cfg.num_workers = 1;
   serve::InferenceServer one(serve::ServerSpec{}
@@ -292,6 +291,7 @@ Json run_slo_scenario(const serve::Backend& primary,
                                  .degraded(degraded)
                                  .dataset(ds)
                                  .config(cfg));
+  const serve::RouterPlan plan = one.plan_trace(trace);
   obs::begin_session();
   const serve::ServeReport rep1 = one.run(trace);
   const obs::TraceSnapshot snap1 = obs::end_session();
@@ -365,9 +365,9 @@ Json run_slo_scenario(const serve::Backend& primary,
   j.set("ladder_recovered", recovered);
   j.set("overload_exercised", overloaded);
   j.set("faults_retried", faulted);
-  // SLO oracle: the full causal stream (admission verdicts, sheds, retries,
-  // deliveries with virtual completion times, ladder/breaker transitions)
-  // reconstructed from the Plan alone.
+  // SLO oracle: the full causal stream (routing, admission verdicts, sheds,
+  // retries, deliveries with virtual completion times, ladder/breaker
+  // transitions) reconstructed from the plan alone.
   j.set("trace", trace_section(name, snap1, snapN,
                                serve::expected_causal_fingerprint(plan),
                                serve::expected_causal_event_count(plan),
@@ -1006,8 +1006,8 @@ int main(int argc, char** argv) {
     scfg2.slo.fault.outage_len = 12;
 
     slo_doc.set("slo_flash",
-                run_slo_scenario(primary, fallback, sds, strace, workers,
-                                 scfg2, trace_out, &gates));
+                run_overload_scenario(primary, fallback, sds, strace,
+                                      workers, scfg2, trace_out, &gates));
   }
 
   // -- sharded multi-replica serving behind the deterministic router -------

@@ -23,6 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "serve/policy.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
 
@@ -107,7 +108,13 @@ int main(int argc, char** argv) {
   cfg.slo.fault.outage_len = 12;
 
   // --- The plan: what WILL happen, before anything runs. ---------------
-  const serve::Plan plan = serve::plan(trace, cfg.slo, cfg.batch);
+  cfg.num_workers = 1;
+  serve::InferenceServer one(serve::ServerSpec{}
+                                 .primary(primary)
+                                 .degraded(fallback)
+                                 .dataset(ds)
+                                 .config(cfg));
+  const serve::RouterPlan plan = one.plan_trace(trace);
   const serve::PlanCounters& c = plan.counters;
   std::printf("Planned on the virtual clock (%zu requests):\n", trace.size());
   std::printf(
@@ -140,12 +147,6 @@ int main(int argc, char** argv) {
   // --- Execution: the runtime honors the plan at any worker count. -----
   std::printf("Executing on %zu pool threads...\n",
               ThreadPool::instance().num_threads());
-  cfg.num_workers = 1;
-  serve::InferenceServer one(serve::ServerSpec{}
-                                 .primary(primary)
-                                 .degraded(fallback)
-                                 .dataset(ds)
-                                 .config(cfg));
   obs::begin_session();
   const serve::ServeReport r1 = one.run(trace);
   const obs::TraceSnapshot s1 = obs::end_session();

@@ -59,7 +59,13 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
   Plan p;
   p.decisions.resize(trace.size());
   p.request_ids = std::move(request_ids);
-  if (trace.empty()) {
+  if (trace.empty() || !slo.enabled) {
+    // The always-serve ledger: SLO-off is data for the one executor, not a
+    // second execution path. Decision defaults already read kServed on the
+    // primary backend with no deadline and no virtual clock.
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      p.decisions[i].priority = trace[i].priority;
+    p.counters.served = p.counters.served_primary = trace.size();
     p.shed_set_hash = shed_set_fingerprint({});
     return p;
   }
@@ -262,7 +268,8 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
 }
 
 // The causal events the runtime emits while executing a plan, rebuilt from
-// the decision ledger. Must mirror InferenceServer::run_slo exactly: admit
+// the decision ledger. Must mirror the serving executor
+// (InferenceServer::execute and its worker drain) exactly: admit
 // verdict per request (with deadline), pop-time shed per non-served
 // decision, one retry record per served request with failed primary
 // attempts, delivery (mode, virtual completion) per served request, and
@@ -315,46 +322,6 @@ void append_causal_transition_tuples(const Plan& p, std::size_t seq_offset,
       tuples.push_back({gseq, static_cast<std::uint8_t>(EventType::kBreaker),
                         1, t.v_us});
   }
-}
-
-namespace {
-
-std::vector<obs::CausalTuple> plan_causal_tuples(const Plan& p) {
-  std::vector<obs::CausalTuple> tuples;
-  append_causal_decision_tuples(p, tuples);
-  append_causal_transition_tuples(p, 0, tuples);
-  return tuples;
-}
-
-std::vector<obs::CausalTuple> legacy_causal_tuples(std::size_t n) {
-  using obs::EventType;
-  std::vector<obs::CausalTuple> tuples;
-  tuples.reserve(2 * n);
-  for (std::size_t id = 0; id < n; ++id) {
-    tuples.push_back(
-        {id, static_cast<std::uint8_t>(EventType::kAdmit), 0, 0});
-    tuples.push_back(
-        {id, static_cast<std::uint8_t>(EventType::kDeliver), 0, 0});
-  }
-  return tuples;
-}
-
-}  // namespace
-
-std::uint64_t expected_causal_fingerprint(const Plan& p) {
-  return obs::fingerprint_tuples(plan_causal_tuples(p));
-}
-
-std::size_t expected_causal_event_count(const Plan& p) {
-  return plan_causal_tuples(p).size();
-}
-
-std::uint64_t expected_causal_fingerprint(std::size_t n_requests) {
-  return obs::fingerprint_tuples(legacy_causal_tuples(n_requests));
-}
-
-std::size_t expected_causal_event_count(std::size_t n_requests) {
-  return legacy_causal_tuples(n_requests).size();
 }
 
 }  // namespace gbo::serve

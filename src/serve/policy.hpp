@@ -80,6 +80,9 @@ struct RetryPolicy {
 };
 
 struct SloPolicy {
+  /// Off: plan() returns the always-serve ledger (every request served on
+  /// the primary backend, no deadline, no virtual clock, no transitions),
+  /// which the same executor runs as an SLO-enabled plan.
   bool enabled = false;
   /// Per-request deadline (virtual us after arrival); 0 disables deadlines.
   std::uint64_t deadline_us = 0;
@@ -203,7 +206,10 @@ struct Plan {
 };
 
 /// Runs the virtual-time control-plane simulation. Pure: same
-/// (trace, slo, batch) always yields the identical plan.
+/// (trace, slo, batch) always yields the identical plan. A disabled policy
+/// yields the always-serve ledger: every request kServed / kPrimary at its
+/// trace priority, with deadline_us, v_done_us and attempts all 0 and no
+/// transitions.
 Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
           const BatchPolicy& batch);
 
@@ -226,29 +232,19 @@ std::uint64_t shed_set_fingerprint(
 /// the server stamps it on the requests it pre-marks for pop-time shedding.
 ShedReason shed_reason(Decision::Outcome outcome);
 
-/// The causal-trace oracle (DESIGN.md §9): the exact fingerprint / event
-/// count the runtime's causal event stream must reproduce when executing
-/// this plan. Derived from the decision ledger alone — admission verdicts,
-/// pop-time sheds, retry attempts, delivery modes with virtual completion
-/// times, and the control-transition log — never from anything the workers
-/// did, which is what gives the trace gate independent teeth.
-std::uint64_t expected_causal_fingerprint(const Plan& p);
-std::size_t expected_causal_event_count(const Plan& p);
-
-/// Building blocks of the oracle above, exposed so the router can compose
-/// a fleet-wide fingerprint out of per-replica sub-plans (DESIGN.md §10):
-/// per-decision tuples are keyed by Plan::id_of, and each replica's
-/// control transitions are renumbered with a sequence offset so the
-/// fleet-wide transition log stays collision-free.
+/// Building blocks of the causal-trace oracle (DESIGN.md §9), from which
+/// expected_causal_fingerprint(const RouterPlan&) composes the fleet-wide
+/// fingerprint out of per-replica sub-plans (DESIGN.md §10). The tuples are
+/// derived from the decision ledger alone — admission verdicts, pop-time
+/// sheds, retry attempts, delivery modes with virtual completion times, and
+/// the control-transition log — never from anything the workers did, which
+/// is what gives the trace gate independent teeth. Per-decision tuples are
+/// keyed by Plan::id_of, and each replica's control transitions are
+/// renumbered with a sequence offset so the fleet-wide transition log stays
+/// collision-free.
 void append_causal_decision_tuples(const Plan& p,
                                    std::vector<obs::CausalTuple>& tuples);
 void append_causal_transition_tuples(const Plan& p, std::size_t seq_offset,
                                      std::vector<obs::CausalTuple>& tuples);
-
-/// Oracle for a legacy (non-SLO) run: every request is admitted and
-/// delivered at full fidelity, with no deadline, virtual clock, or
-/// control-plane transitions.
-std::uint64_t expected_causal_fingerprint(std::size_t n_requests);
-std::size_t expected_causal_event_count(std::size_t n_requests);
 
 }  // namespace gbo::serve

@@ -2,23 +2,13 @@
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 
 #include <algorithm>
 #include <array>
-#include <stdexcept>
-#include <thread>
 
 namespace gbo::serve {
 namespace {
-
-std::uint64_t us_since(const std::chrono::steady_clock::time_point& t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
 
 // Liveness under the outage model: replica r is down when the router's
 // fault injector places r inside its outage window. A fleet with every
@@ -40,33 +30,6 @@ std::vector<std::uint8_t> alive_mask(const RouterPolicy& router,
     alive[0] = 1;
   }
   return alive;
-}
-
-// The transition sequence offset of replica r in the fleet-wide causal
-// trace: transitions are renumbered replica-major so two replicas' ladder
-// logs cannot collide on (seq, level, v_us).
-std::vector<std::size_t> transition_offsets(const RouterPlan& rp) {
-  std::vector<std::size_t> off(rp.per_replica.size() + 1, 0);
-  for (std::size_t r = 0; r < rp.per_replica.size(); ++r)
-    off[r + 1] = off[r] + rp.per_replica[r].transitions.size();
-  return off;
-}
-
-const data::Dataset& checked_group_dataset(const ServerSpec& spec) {
-  ServerSpec::Validation v = spec.validate();
-  if (!spec.config_ref().slo.enabled)
-    v.errors.push_back(
-        "ReplicaGroup requires the SLO control plane (cfg.slo.enabled): "
-        "routing decisions live on the virtual clock");
-  if (spec.num_replicas() > 255)
-    v.errors.push_back("replicas > 255 (assignment is a byte per request)");
-  if (!v.ok()) {
-    std::string msg = "serve: invalid ServerSpec:";
-    for (const std::string& e : v.errors) msg += " [" + e + "]";
-    throw std::invalid_argument(msg);
-  }
-  for (const std::string& w : v.warnings) log_warn("serve: ", w);
-  return *spec.dataset_ref();
 }
 
 }  // namespace
@@ -169,6 +132,7 @@ RouterPlan route_plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
     routing.emplace_back(i, rp.assignment[i]);
     const Decision& d = rp.decisions[i];
     if (d.served()) {
+      if (!slo.enabled) continue;  // the always-serve ledger has no v-clock
       const std::uint64_t lat = d.v_done_us - trace[i].t_us;
       vlat.push_back(lat);
       by_pri[static_cast<std::size_t>(d.priority)].push_back(lat);
@@ -193,10 +157,13 @@ std::vector<obs::CausalTuple> router_causal_tuples(const RouterPlan& rp) {
   for (std::size_t i = 0; i < rp.assignment.size(); ++i)
     tuples.push_back({i, static_cast<std::uint8_t>(EventType::kRoute),
                       rp.assignment[i], rp.active_replicas});
-  const std::vector<std::size_t> off = transition_offsets(rp);
-  for (std::size_t r = 0; r < rp.per_replica.size(); ++r) {
-    append_causal_decision_tuples(rp.per_replica[r], tuples);
-    append_causal_transition_tuples(rp.per_replica[r], off[r], tuples);
+  // Control transitions are renumbered replica-major, so two replicas'
+  // ladder logs cannot collide on (seq, level, v_us).
+  std::size_t seq_base = 0;
+  for (const Plan& p : rp.per_replica) {
+    append_causal_decision_tuples(p, tuples);
+    append_causal_transition_tuples(p, seq_base, tuples);
+    seq_base += p.transitions.size();
   }
   append_causal_swap_tuples(rp.swap, tuples);  // no-op when no swap planned
   return tuples;
@@ -213,7 +180,8 @@ std::size_t expected_causal_event_count(const RouterPlan& rp) {
 }
 
 ReplicaGroup::ReplicaGroup(const ServerSpec& spec)
-    : dataset_(checked_group_dataset(spec)),
+    : dataset_(*InferenceServer::checked_spec(spec, /*single_replica=*/false)
+                    .dataset_ref()),
       cfg_(spec.normalized_config()),
       router_(spec.router_policy()),
       registry_(spec.model_registry()),
@@ -247,308 +215,10 @@ RouterPlan ReplicaGroup::plan_trace(const std::vector<Arrival>& trace) const {
 }
 
 RouterReport ReplicaGroup::run(const std::vector<Arrival>& trace) {
-  RouterReport rep;
-  rep.total_replicas = replicas_.size();
-  rep.serve.workers = replicas_.size() * cfg_.num_workers;
-  if (trace.empty()) {
-    log_warn("serve: empty request trace, nothing to route");
-    return rep;
-  }
-  if (dataset_.size() == 0) {
-    log_warn("serve: empty dataset, nothing to route");
-    return rep;
-  }
-  warmup();
-
-  // The full fleet ledger — routing, autoscale, every per-replica control
-  // decision — is fixed here on the virtual clock; the replay executes it.
-  const RouterPlan rp = plan_trace(trace);
-  rep.active_replicas = rp.active_replicas;
-  rep.routing_hash = rp.routing_hash;
-  const FaultInjector injector(cfg_.slo.fault);
-
-  const std::size_t R = replicas_.size();
-  const std::size_t W = cfg_.num_workers;
-  std::vector<std::vector<std::size_t>> allocs_before(R);
-  for (std::size_t r = 0; r < R; ++r) {
-    for (auto& wp : replicas_[r]->workers_) {
-      allocs_before[r].push_back(wp->arena.stats().system_allocs);
-      wp->batch_hist.clear();
-      wp->served = 0;
-      wp->exec_calls = 0;
-      wp->primary_group.clear();
-      wp->primary_group.reserve(cfg_.batch.max_batch);
-      wp->degraded_group.clear();
-      wp->degraded_group.reserve(cfg_.batch.max_batch);
-      wp->shed_log.clear();
-      wp->retried = wp->faults = wp->fallbacks = wp->degraded = wp->stalls = 0;
-    }
-  }
-  ServeReport& srep = rep.serve;
-  const FusionMode mode = replicas_[0]->mode_;
-  srep.fusion = mode == FusionMode::kFused
-                    ? "fused"
-                    : mode == FusionMode::kFusedPerSample ? "fused_per_sample"
-                                                          : "per_request";
-
-  const std::size_t num_requests = trace.size();
-  srep.requests = num_requests;
-  srep.outputs = Tensor({num_requests, replicas_[0]->out_dim_});
-  std::vector<std::uint64_t> enqueue(num_requests, 0);
-  std::vector<std::uint64_t> completion(num_requests, 0);
-  float* const out_rows = srep.outputs.data();
-  std::uint64_t* const completion_us = completion.data();
-
-  // One queue per replica; replicas admit only what the plan routed to
-  // them. Unbounded like run_slo's: admission was decided on the virtual
-  // clock, re-racing a wall-clock bound against the plan could diverge.
-  std::vector<std::unique_ptr<RequestQueue>> queues;
-  queues.reserve(R);
-  for (std::size_t r = 0; r < R; ++r)
-    queues.push_back(std::make_unique<RequestQueue>());
-  // Planned admission bounces, logged by the producer per target replica.
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint8_t>>>
-      admission_shed(R);
-  const std::vector<std::size_t> seq_off = transition_offsets(rp);
-  const auto t0 = std::chrono::steady_clock::now();
-
-  // One flat dispatch: block 0 is the producer, block 1 + r*W + w is
-  // worker w of replica r. The pool claims blocks in order (producer
-  // first) and must not nest — a nested parallel_for would run inline on
-  // the caller — so the fleet shares a single worker-pool dispatch.
-  ThreadPool::instance().parallel_for(
-      0, 1 + R * W, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t block = lo; block < hi; ++block) {
-          obs::prime();
-          if (block == 0) {
-            // Replay each replica's control-plane trajectory with
-            // replica-major renumbered sequence ids (the fleet oracle
-            // composes the same way).
-            for (std::size_t r = 0; r < R; ++r) {
-              const Plan& p = rp.per_replica[r];
-              for (std::size_t seq = 0; seq < p.transitions.size(); ++seq) {
-                const ControlTransition& t = p.transitions[seq];
-                if (t.kind == ControlTransition::Kind::kLadder)
-                  GBO_TRACE_EVENT(obs::EventType::kLadder, seq_off[r] + seq,
-                                  static_cast<std::uint16_t>(t.level),
-                                  t.v_us);
-                else
-                  GBO_TRACE_EVENT(obs::EventType::kBreaker, seq_off[r] + seq,
-                                  1, t.v_us);
-              }
-            }
-            // The swap trajectory is part of the executed ledger too: one
-            // kSwap per planned cutover and the kCanary verdict, replayed
-            // exactly as the oracle composes them (DESIGN.md §11).
-            if (rp.swap.enabled) {
-              for (const SwapCutover& cut : rp.swap.cutovers)
-                GBO_TRACE_EVENT(obs::EventType::kSwap, cut.replica,
-                                static_cast<std::uint16_t>(cut.version),
-                                cut.at_us);
-              GBO_TRACE_EVENT(obs::EventType::kCanary, rp.swap.canary_replica,
-                              rp.swap.rolled_back ? 0 : 1, rp.swap.verdict_us);
-            }
-            for (std::size_t i = 0; i < num_requests; ++i) {
-              std::this_thread::sleep_until(
-                  t0 + std::chrono::microseconds(trace[i].t_us));
-              const std::uint8_t target = rp.assignment[i];
-              GBO_TRACE_EVENT(obs::EventType::kRoute, i, target,
-                              rp.active_replicas);
-              const Decision& d = rp.decisions[i];
-              if (d.outcome == Decision::Outcome::kRejected ||
-                  d.outcome == Decision::Outcome::kEvicted) {
-                admission_shed[target].emplace_back(
-                    i, static_cast<std::uint8_t>(d.outcome));
-                GBO_TRACE_EVENT(obs::EventType::kAdmit, i,
-                                static_cast<std::uint16_t>(d.outcome),
-                                d.deadline_us);
-                continue;
-              }
-              GBO_TRACE_EVENT(obs::EventType::kAdmit, i, 0, d.deadline_us);
-              Request q;
-              q.id = i;
-              q.sample = trace[i].sample;
-              q.priority = trace[i].priority;
-              q.deadline_us = d.deadline_us;
-              q.mode = d.mode;
-              // The version pin happens here, at admission: whatever
-              // cutovers land while the request waits in its queue, the
-              // worker resolves exactly this version (DESIGN.md §11).
-              q.version = d.version;
-              q.shed = d.shed();
-              q.reason = shed_reason(d.outcome);
-              q.enqueue_us = us_since(t0);
-              enqueue[i] = q.enqueue_us;
-              queues[target]->push(q);
-            }
-            for (auto& q : queues) q->close();
-          } else {
-            const std::size_t r = (block - 1) / W;
-            const std::size_t w = (block - 1) % W;
-            InferenceServer& srv = *replicas_[r];
-            srv.drain_queue_slo(*srv.workers_[w], *queues[r], out_rows,
-                                completion_us, t0, injector, rp.decisions);
-          }
-        }
-      });
-
-  srep.wall_s = static_cast<double>(us_since(t0)) * 1e-6;
-
-  srep.latencies_us.assign(num_requests, 0);
-  std::vector<std::uint64_t> delivered;
-  std::array<std::vector<std::uint64_t>, kNumPriorities> by_pri;
-  delivered.reserve(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i) {
-    if (completion[i] == 0) continue;
-    const std::uint64_t lat = completion[i] - enqueue[i];
-    srep.latencies_us[i] = lat;
-    delivered.push_back(lat);
-    by_pri[static_cast<std::size_t>(trace[i].priority)].push_back(lat);
-  }
-  srep.latency = LatencyStats::compute(std::move(delivered));
-
-  // Per-replica exec accounting: admission bounces (attributed to the
-  // routed replica) + every worker's pop-time shed log, fingerprinted in
-  // the planner's encoding. The gates demand each replica's hash equals
-  // its sub-plan's — scale-out must not smear the §7 contract.
-  std::size_t batches = 0;
-  SloSummary& s = srep.slo;
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed_all;
-  double depth_weighted = 0.0;
-  rep.replicas.resize(R);
-  for (std::size_t r = 0; r < R; ++r) {
-    ReplicaStats& rs = rep.replicas[r];
-    rs.alive = rp.alive[r] != 0;
-    rs.active = std::find(rp.active.begin(), rp.active.end(),
-                          static_cast<std::uint8_t>(r)) != rp.active.end();
-    rs.assigned = rp.per_replica[r].decisions.size();
-    rs.plan_shed_set_hash = rp.per_replica[r].shed_set_hash;
-    rs.max_virtual_depth = rp.per_replica[r].counters.max_virtual_depth;
-    rs.max_ladder_level = rp.per_replica[r].counters.max_ladder_level;
-    // Fleet queue stats: sums with max_depth maxed; mean_depth is the
-    // push-weighted mean of the per-replica means.
-    const RequestQueue::DepthStats qs = queues[r]->depth_stats();
-    srep.queue.pushes += qs.pushes;
-    srep.queue.max_depth = std::max(srep.queue.max_depth, qs.max_depth);
-    srep.queue.rejected += qs.rejected;
-    srep.queue.evicted += qs.evicted;
-    srep.queue.sheds += qs.sheds;
-    depth_weighted += qs.mean_depth * static_cast<double>(qs.pushes);
-
-    std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed =
-        std::move(admission_shed[r]);
-    for (std::size_t wi = 0; wi < replicas_[r]->workers_.size(); ++wi) {
-      InferenceServer::Worker& w = *replicas_[r]->workers_[wi];
-      rs.delivered += w.served;
-      srep.completed += w.served;
-      srep.exec_calls += w.exec_calls;
-      if (srep.batch_hist.size() < w.batch_hist.size())
-        srep.batch_hist.resize(w.batch_hist.size(), 0);
-      for (std::size_t b = 0; b < w.batch_hist.size(); ++b) {
-        srep.batch_hist[b] += w.batch_hist[b];
-        batches += w.batch_hist[b];
-      }
-      exec_shed.insert(exec_shed.end(), w.shed_log.begin(), w.shed_log.end());
-      s.exec_retried += w.retried;
-      s.exec_faults += w.faults;
-      s.exec_fallbacks += w.fallbacks;
-      s.exec_degraded += w.degraded;
-      s.exec_stalls += w.stalls;
-      const ScratchArena::Stats st = w.arena.stats();
-      srep.arena.system_allocs += st.system_allocs;
-      srep.arena.steady_allocs += st.system_allocs - allocs_before[r][wi];
-      rs.steady_allocs += st.system_allocs - allocs_before[r][wi];
-      srep.arena.high_water_bytes =
-          std::max(srep.arena.high_water_bytes, st.bump_high_water_bytes);
-      srep.arena.reserved_bytes += st.reserved_bytes;
-    }
-    std::sort(exec_shed.begin(), exec_shed.end());
-    rs.shed = exec_shed.size();
-    rs.exec_shed_set_hash = shed_set_fingerprint(exec_shed);
-    exec_shed_all.insert(exec_shed_all.end(), exec_shed.begin(),
-                         exec_shed.end());
-  }
-  srep.queue.mean_depth =
-      srep.queue.pushes == 0
-          ? 0.0
-          : depth_weighted / static_cast<double>(srep.queue.pushes);
-  srep.mean_batch = batches == 0 ? 0.0
-                                 : static_cast<double>(srep.completed) /
-                                       static_cast<double>(batches);
-  srep.mean_exec_batch = srep.exec_calls == 0
-                             ? 0.0
-                             : static_cast<double>(srep.completed) /
-                                   static_cast<double>(srep.exec_calls);
-  srep.throughput_rps = srep.wall_s > 0.0
-                            ? static_cast<double>(srep.completed) / srep.wall_s
-                            : 0.0;
-
-  std::sort(exec_shed_all.begin(), exec_shed_all.end());
-  const PlanCounters& c = rp.counters;
-  s.enabled = true;
-  s.admitted = num_requests - c.rejected;
-  s.served = c.served;
-  s.served_primary = c.served_primary;
-  s.served_canary = c.served_canary;
-  s.degraded_ladder = c.degraded_ladder;
-  s.degraded_breaker = c.degraded_breaker;
-  s.degraded_fallback = c.degraded_fallback;
-  s.shed_expired = c.shed_expired;
-  s.shed_overload = c.shed_overload;
-  s.rejected_capacity = c.rejected;
-  s.evicted = c.evicted;
-  s.retried_requests = c.retried_requests;
-  s.faults_injected = c.faults_injected;
-  s.late_virtual = c.late;
-  s.breaker_opens = c.breaker_opens;
-  s.ladder_transitions = c.ladder_transitions;
-  s.final_ladder_level = c.final_ladder_level;
-  s.max_ladder_level = c.max_ladder_level;
-  s.max_virtual_depth = c.max_virtual_depth;
-  s.deadline_us = cfg_.slo.deadline_us;
-  s.shed_set_hash = rp.shed_set_hash;
-  s.virtual_latency = rp.virtual_latency;
-  s.virtual_by_priority = rp.virtual_by_priority;
-  s.exec_delivered = srep.completed;
-  s.exec_shed = exec_shed_all.size();
-  s.exec_shed_set_hash = shed_set_fingerprint(exec_shed_all);
-  for (std::size_t k = 0; k < kNumPriorities; ++k)
-    s.real_by_priority[k] = LatencyStats::compute(std::move(by_pri[k]));
-
-  if (rp.swap.enabled) {
-    SwapSummary& sw = srep.swap;
-    sw.enabled = true;
-    sw.rolled_back = rp.swap.rolled_back;
-    sw.from_version = rp.swap.from_version;
-    sw.to_version = rp.swap.to_version;
-    sw.canary_replica = rp.swap.canary_replica;
-    sw.start_us = rp.swap.start_us;
-    sw.verdict_us = rp.swap.verdict_us;
-    sw.canary_served = rp.swap.canary_served;
-    sw.canary_faults = rp.swap.canary_faults;
-    sw.breaker_opens = rp.swap.breaker_opens;
-    sw.latency_breach = rp.swap.latency_breach;
-    sw.cutovers = rp.swap.cutovers.size();
-    sw.version_hash = rp.swap.version_hash;
-    // Payload provenance: the pinned version per request id, and how many
-    // deliveries each version produced.
-    srep.versions = rp.swap.version_of;
-    for (std::size_t i = 0; i < num_requests; ++i) {
-      if (!rp.decisions[i].served()) continue;
-      const std::uint32_t v = rp.swap.version_of[i];
-      auto it = std::find_if(
-          sw.served_by_version.begin(), sw.served_by_version.end(),
-          [v](const std::pair<std::uint32_t, std::size_t>& e) {
-            return e.first == v;
-          });
-      if (it == sw.served_by_version.end())
-        sw.served_by_version.emplace_back(v, 1);
-      else
-        ++it->second;
-    }
-    std::sort(sw.served_by_version.begin(), sw.served_by_version.end());
-  }
-  return rep;
+  std::vector<InferenceServer*> servers;
+  servers.reserve(replicas_.size());
+  for (auto& s : replicas_) servers.push_back(s.get());
+  return InferenceServer::execute(servers, plan_trace(trace), trace);
 }
 
 Json RouterReport::to_json() const {

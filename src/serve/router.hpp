@@ -27,10 +27,15 @@
 //   * all replicas share the payload seed, and payloads depend only on
 //     (seed, request id) — so a reroute (outage, autoscale step) can move
 //     a request between replicas without changing a single output bit;
-//   * the causal trace (DESIGN.md §9) gains one kRoute event per request
+//   * the causal trace (DESIGN.md §9) carries one kRoute event per request
 //     (id, replica, active count); the fleet-wide fingerprint composes the
 //     per-replica decision ledgers with replica-major renumbered control
 //     transitions and is gated against the runtime's emitted events.
+//
+// A RouterPlan is also what a single InferenceServer executes: its
+// plan_trace() is route_plan() over one replica, and both run() entry
+// points hand their plan to the same executor (InferenceServer::execute) —
+// one producer replay, one worker drain, one report aggregation.
 #pragma once
 
 #include "serve/server.hpp"
@@ -89,8 +94,9 @@ RouterPlan route_plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
                       const BatchPolicy& batch, const RouterPolicy& router,
                       std::size_t replicas);
 
-/// The fleet causal-trace oracle (DESIGN.md §9/§10): kRoute per request +
-/// per-replica decision tuples + replica-major renumbered transitions.
+/// The causal-trace oracle (DESIGN.md §9/§10) of every serving run, single
+/// replica or fleet: kRoute per request + per-replica decision tuples +
+/// replica-major renumbered transitions + the swap trajectory.
 std::uint64_t expected_causal_fingerprint(const RouterPlan& rp);
 std::size_t expected_causal_event_count(const RouterPlan& rp);
 
@@ -130,7 +136,9 @@ struct RouterReport {
 ///   ReplicaGroup group(ServerSpec{}.primary(b).degraded(d).dataset(ds)
 ///                          .config(cfg).replicas(4).router(policy));
 ///
-/// Requires cfg.slo.enabled (routing decisions live on the virtual clock).
+/// More than one replica requires cfg.slo.enabled (routing decisions live
+/// on the virtual clock); a one-replica SLO-off group runs the always-serve
+/// ledger.
 class ReplicaGroup {
  public:
   explicit ReplicaGroup(const ServerSpec& spec);

@@ -3,6 +3,7 @@
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
+#include "serve/router.hpp"
 
 #include <algorithm>
 #include <array>
@@ -41,27 +42,13 @@ std::uint8_t reason_code(ShedReason r) {
   return outcome_code(Decision::Outcome::kServed);
 }
 
-// Runs the one-pass validation, throws on errors (all of them, not just the
-// first), logs every clamp warning, and hands back the primary backend so
-// the constructor's reference members can initialize. `single_replica`
-// additionally rejects multi-replica specs — ReplicaGroup (serve/router.cpp)
-// is the only consumer allowed to build those.
-const Backend& checked_primary(const ServerSpec& spec, bool single_replica) {
-  ServerSpec::Validation v = spec.validate();
-  if (single_replica && spec.normalized_replicas() > 1)
-    v.errors.push_back(
-        "replicas > 1 requires ReplicaGroup, not InferenceServer");
-  if (single_replica && spec.swap_policy().enabled)
-    v.errors.push_back(
-        "a hot swap requires ReplicaGroup, not InferenceServer: the canary "
-        "boundary is a replica");
-  if (!v.ok()) {
-    std::string msg = "serve: invalid ServerSpec:";
-    for (const std::string& e : v.errors) msg += " [" + e + "]";
-    throw std::invalid_argument(msg);
+const char* fusion_name(FusionMode m) {
+  switch (m) {
+    case FusionMode::kFused: return "fused";
+    case FusionMode::kFusedPerSample: return "fused_per_sample";
+    case FusionMode::kPerRequest: break;
   }
-  for (const std::string& w : v.warnings) log_warn("serve: ", w);
-  return *spec.primary_backend();
+  return "per_request";
 }
 
 }  // namespace
@@ -75,6 +62,8 @@ ServerSpec::Validation ServerSpec::validate() const {
   if (cfg_.batch.max_batch == 0)
     v.warnings.push_back("max_batch == 0, clamping to 1");
   if (replicas_ == 0) v.warnings.push_back("replicas == 0, clamping to 1");
+  if (replicas_ > 255)
+    v.errors.push_back("replicas > 255 (assignment is a byte per request)");
   if (replicas_ > 1 && !cfg_.slo.enabled)
     v.errors.push_back(
         "replicas > 1 requires the SLO control plane (cfg.slo.enabled): "
@@ -109,6 +98,7 @@ ServeConfig ServerSpec::normalized_config() const {
   ServeConfig cfg = cfg_;
   if (cfg.num_workers == 0) cfg.num_workers = 1;
   if (cfg.batch.max_batch == 0) cfg.batch.max_batch = 1;
+  if (!cfg.slo.enabled) cfg.slo.fault = FaultConfig{};
   return cfg;
 }
 
@@ -116,8 +106,27 @@ std::size_t ServerSpec::normalized_replicas() const {
   return replicas_ == 0 ? 1 : replicas_;
 }
 
+const ServerSpec& InferenceServer::checked_spec(const ServerSpec& spec,
+                                                bool single_replica) {
+  ServerSpec::Validation v = spec.validate();
+  if (single_replica && spec.normalized_replicas() > 1)
+    v.errors.push_back(
+        "replicas > 1 requires ReplicaGroup, not InferenceServer");
+  if (single_replica && spec.swap_policy().enabled)
+    v.errors.push_back(
+        "a hot swap requires ReplicaGroup, not InferenceServer: the canary "
+        "boundary is a replica");
+  if (!v.ok()) {
+    std::string msg = "serve: invalid ServerSpec:";
+    for (const std::string& e : v.errors) msg += " [" + e + "]";
+    throw std::invalid_argument(msg);
+  }
+  for (const std::string& w : v.warnings) log_warn("serve: ", w);
+  return spec;
+}
+
 InferenceServer::InferenceServer(const ServerSpec& spec)
-    : backend_(checked_primary(spec, /*single_replica=*/true)),
+    : backend_(*checked_spec(spec, /*single_replica=*/true).primary_backend()),
       degraded_(spec.degraded_backend()),
       dataset_(*spec.dataset_ref()),
       registry_(spec.model_registry()),
@@ -277,28 +286,19 @@ void InferenceServer::exec_rows(Worker& w, const Backend& backend,
   }
 }
 
-void InferenceServer::process_batch(
-    Worker& w, const std::vector<Request>& batch, float* out_rows,
-    std::uint64_t* completion_us,
-    const std::chrono::steady_clock::time_point& t0) {
-  [[maybe_unused]] const std::uint64_t seq =
-      batch_seq_.fetch_add(1, std::memory_order_relaxed);
-  GBO_TRACE_SPAN(obs::EventType::kBatch, seq, 0, batch.size());
-  for ([[maybe_unused]] const Request& r : batch)
-    GBO_TRACE_EVENT(obs::EventType::kBatchMember, r.id, 0, seq);
-  exec_rows(w, backend_, mode_, batch.data(), batch.size(), out_rows);
-  const std::uint64_t done = us_since(t0);
-  for (const Request& r : batch) {
-    completion_us[r.id] = done;
-    GBO_TRACE_EVENT(obs::EventType::kDeliver, r.id,
-                    static_cast<std::uint16_t>(r.mode), 0);
-  }
-  if (w.batch_hist.size() <= batch.size()) w.batch_hist.resize(batch.size() + 1);
-  ++w.batch_hist[batch.size()];
-  w.served += batch.size();
+void InferenceServer::Worker::begin_run(std::size_t max_batch) {
+  allocs_before = arena.stats().system_allocs;
+  batch_hist.clear();
+  served = exec_calls = 0;
+  primary_group.clear();
+  primary_group.reserve(max_batch);
+  degraded_group.clear();
+  degraded_group.reserve(max_batch);
+  shed_log.clear();
+  retried = faults = fallbacks = degraded = stalls = 0;
 }
 
-void InferenceServer::process_batch_slo(
+void InferenceServer::serve_batch(
     Worker& w, const std::vector<Request>& batch, float* out_rows,
     std::uint64_t* completion_us,
     const std::chrono::steady_clock::time_point& t0,
@@ -307,7 +307,6 @@ void InferenceServer::process_batch_slo(
   const RetryPolicy& retry = cfg_.slo.retry;
   [[maybe_unused]] const std::uint64_t seq =
       batch_seq_.fetch_add(1, std::memory_order_relaxed);
-  GBO_TRACE_SPAN(obs::EventType::kBatch, seq, 1, batch.size());
   w.primary_group.clear();
   w.degraded_group.clear();
   // Injected stalls and retry backoff are real wall-time sleeps taken
@@ -357,6 +356,10 @@ void InferenceServer::process_batch_slo(
         break;
     }
   }
+  // The span opens once the partition is known: its route tag is 1 only if
+  // some row of this batch runs on the degraded route.
+  GBO_TRACE_SPAN(obs::EventType::kBatch, seq,
+                 w.degraded_group.empty() ? 0 : 1, batch.size());
   if (sleep_us > 0) {
     GBO_TRACE_SPAN(obs::EventType::kStall, seq, 0, sleep_us);
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
@@ -402,7 +405,7 @@ void InferenceServer::process_batch_slo(
   w.served += batch.size();
 }
 
-void InferenceServer::drain_queue_slo(
+void InferenceServer::drain_queue(
     Worker& w, RequestQueue& queue, float* out_rows,
     std::uint64_t* completion_us,
     const std::chrono::steady_clock::time_point& t0,
@@ -414,287 +417,248 @@ void InferenceServer::drain_queue_slo(
       GBO_TRACE_EVENT(obs::EventType::kShed, s.id, reason_code(s.reason), 0);
     }
     if (!batch.empty())
-      process_batch_slo(w, batch, out_rows, completion_us, t0, injector,
-                        decisions);
+      serve_batch(w, batch, out_rows, completion_us, t0, injector, decisions);
   }
 }
 
+RouterPlan InferenceServer::plan_trace(const std::vector<Arrival>& trace) const {
+  return route_plan(trace, cfg_.slo, cfg_.batch, RouterPolicy{}, 1);
+}
+
 ServeReport InferenceServer::run(const std::vector<Arrival>& trace) {
-  if (cfg_.slo.enabled) return run_slo(trace);
-  ServeReport rep;
-  rep.workers = workers_.size();
+  InferenceServer* const self = this;
+  return execute({&self, 1}, plan_trace(trace), trace).serve;
+}
+
+RouterReport InferenceServer::execute(
+    std::span<InferenceServer* const> replicas, const RouterPlan& rp,
+    const std::vector<Arrival>& trace) {
+  const InferenceServer& lead = *replicas[0];
+  const ServeConfig& cfg = lead.cfg_;  // every replica shares the config
+  const std::size_t R = replicas.size();
+  const std::size_t W = cfg.num_workers;
+  RouterReport rep;
+  rep.total_replicas = R;
+  ServeReport& srep = rep.serve;
+  srep.workers = R * W;
   if (trace.empty()) {
     log_warn("serve: empty request trace, nothing to serve");
     return rep;
   }
-  if (dataset_.size() == 0) {
+  if (lead.dataset_.size() == 0) {
     log_warn("serve: empty dataset, nothing to serve");
     return rep;
   }
-  warmup();
-
-  std::vector<std::size_t> allocs_before;
-  for (auto& w : workers_) {
-    allocs_before.push_back(w->arena.stats().system_allocs);
-    w->batch_hist.clear();
-    w->served = 0;
-    w->exec_calls = 0;
+  for (InferenceServer* s : replicas) {
+    s->warmup();
+    for (auto& w : s->workers_) w->begin_run(cfg.batch.max_batch);
   }
-  rep.fusion = mode_ == FusionMode::kFused
-                   ? "fused"
-                   : mode_ == FusionMode::kFusedPerSample ? "fused_per_sample"
-                                                          : "per_request";
+  rep.active_replicas = rp.active_replicas;
+  rep.routing_hash = rp.routing_hash;
+  const FaultInjector injector(cfg.slo.fault);
+  srep.fusion = fusion_name(lead.mode_);
 
   const std::size_t num_requests = trace.size();
-  rep.requests = num_requests;
-  rep.outputs = Tensor({num_requests, out_dim_});
+  srep.requests = num_requests;
+  srep.outputs = Tensor({num_requests, lead.out_dim_});
   std::vector<std::uint64_t> enqueue(num_requests, 0);
   std::vector<std::uint64_t> completion(num_requests, 0);
   // Taken once, before the workers start: the non-const data() accessor
   // bumps the tensor's version counter (a plain increment), so it must not
   // be re-evaluated concurrently from the worker loops.
-  float* const out_rows = rep.outputs.data();
+  float* const out_rows = srep.outputs.data();
   std::uint64_t* const completion_us = completion.data();
 
-  RequestQueue queue;
+  // One queue per replica; replicas admit only what the plan routed to
+  // them. Unbounded: admission was already decided by the plan (re-racing
+  // a wall-clock bound against it could diverge), and the bounded-queue
+  // mechanics are exercised inside the planner — which drives this same
+  // RequestQueue implementation — and in the queue unit tests.
+  std::vector<RequestQueue> queues(R);
+  // Planned rejections/evictions never reach a queue; the producer logs
+  // them per target replica (single-writer until the pool joins).
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint8_t>>>
+      admission_shed(R);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num_workers = workers_.size();
 
-  // Block 0 replays the trace; blocks 1..W are the worker loops. The pool
-  // claims blocks in order, so the producer always starts first; worker
-  // loops exit when the queue is closed and drained. With a single-thread
-  // pool the blocks simply run back to back (produce all, then drain).
+  // One flat dispatch: block 0 is the producer, block 1 + r*W + w is
+  // worker w of replica r. The pool claims blocks in order (producer
+  // first) and must not nest — a nested dispatch would run inline on
+  // the caller — so the fleet shares a single worker-pool dispatch. With a
+  // single-thread pool the blocks simply run back to back (produce all,
+  // then drain).
   ThreadPool::instance().parallel_for(
-      0, num_workers + 1, 1, [&](std::size_t lo, std::size_t hi) {
+      0, 1 + R * W, 1, [&](std::size_t lo, std::size_t hi) {
         for (std::size_t block = lo; block < hi; ++block) {
           obs::prime();
-          if (block == 0) {
-            for (std::size_t i = 0; i < num_requests; ++i) {
-              std::this_thread::sleep_until(
-                  t0 + std::chrono::microseconds(trace[i].t_us));
-              Request r;
-              r.id = i;
-              r.sample = trace[i].sample;
-              r.enqueue_us = us_since(t0);
-              enqueue[i] = r.enqueue_us;
-              queue.push(r);
-              GBO_TRACE_EVENT(obs::EventType::kAdmit, i, 0, 0);
-            }
-            queue.close();
-          } else {
-            Worker& w = *workers_[block - 1];
-            std::vector<Request> batch;
-            while (queue.pop_batch(cfg_.batch, batch))
-              process_batch(w, batch, out_rows, completion_us, t0);
+          if (block != 0) {
+            InferenceServer& srv = *replicas[(block - 1) / W];
+            srv.drain_queue(*srv.workers_[(block - 1) % W],
+                            queues[(block - 1) / W], out_rows, completion_us,
+                            t0, injector, rp.decisions);
+            continue;
           }
-        }
-      });
-
-  rep.wall_s = static_cast<double>(us_since(t0)) * 1e-6;
-  rep.latencies_us.resize(num_requests);
-  for (std::size_t i = 0; i < num_requests; ++i)
-    rep.latencies_us[i] = completion[i] - enqueue[i];
-  rep.latency = LatencyStats::compute(rep.latencies_us);
-  rep.queue = queue.depth_stats();
-
-  std::size_t batches = 0;
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    Worker& w = *workers_[wi];
-    rep.completed += w.served;
-    rep.exec_calls += w.exec_calls;
-    if (rep.batch_hist.size() < w.batch_hist.size())
-      rep.batch_hist.resize(w.batch_hist.size(), 0);
-    for (std::size_t b = 0; b < w.batch_hist.size(); ++b) {
-      rep.batch_hist[b] += w.batch_hist[b];
-      batches += w.batch_hist[b];
-    }
-    const ScratchArena::Stats st = w.arena.stats();
-    rep.arena.system_allocs += st.system_allocs;
-    rep.arena.steady_allocs += st.system_allocs - allocs_before[wi];
-    rep.arena.high_water_bytes =
-        std::max(rep.arena.high_water_bytes, st.bump_high_water_bytes);
-    rep.arena.reserved_bytes += st.reserved_bytes;
-  }
-  rep.mean_batch = batches == 0 ? 0.0
-                                : static_cast<double>(rep.completed) /
-                                      static_cast<double>(batches);
-  rep.mean_exec_batch = rep.exec_calls == 0
-                            ? 0.0
-                            : static_cast<double>(rep.completed) /
-                                  static_cast<double>(rep.exec_calls);
-  rep.throughput_rps =
-      rep.wall_s > 0.0 ? static_cast<double>(rep.completed) / rep.wall_s : 0.0;
-  return rep;
-}
-
-ServeReport InferenceServer::run_slo(const std::vector<Arrival>& trace) {
-  ServeReport rep;
-  rep.workers = workers_.size();
-  if (trace.empty()) {
-    log_warn("serve: empty request trace, nothing to serve");
-    return rep;
-  }
-  if (dataset_.size() == 0) {
-    log_warn("serve: empty dataset, nothing to serve");
-    return rep;
-  }
-  warmup();
-
-  // Every control decision is fixed here, on the virtual clock, before a
-  // single wall-clock microsecond elapses (DESIGN.md §7). The replay below
-  // only executes the plan.
-  const Plan p = plan(trace, cfg_.slo, cfg_.batch);
-  const FaultInjector injector(cfg_.slo.fault);
-
-  std::vector<std::size_t> allocs_before;
-  for (auto& w : workers_) {
-    allocs_before.push_back(w->arena.stats().system_allocs);
-    w->batch_hist.clear();
-    w->served = 0;
-    w->exec_calls = 0;
-    w->primary_group.clear();
-    w->primary_group.reserve(cfg_.batch.max_batch);
-    w->degraded_group.clear();
-    w->degraded_group.reserve(cfg_.batch.max_batch);
-    w->shed_log.clear();
-    w->retried = w->faults = w->fallbacks = w->degraded = w->stalls = 0;
-  }
-  rep.fusion = mode_ == FusionMode::kFused
-                   ? "fused"
-                   : mode_ == FusionMode::kFusedPerSample ? "fused_per_sample"
-                                                          : "per_request";
-
-  const std::size_t num_requests = trace.size();
-  rep.requests = num_requests;
-  rep.outputs = Tensor({num_requests, out_dim_});
-  std::vector<std::uint64_t> enqueue(num_requests, 0);
-  std::vector<std::uint64_t> completion(num_requests, 0);
-  float* const out_rows = rep.outputs.data();
-  std::uint64_t* const completion_us = completion.data();
-
-  // The execution queue is unbounded: admission was already decided by the
-  // plan (re-racing a wall-clock bound against it could diverge), and the
-  // bounded-queue mechanics are exercised inside the planner — which drives
-  // this same RequestQueue implementation — and in the queue unit tests.
-  RequestQueue queue;
-  // Planned rejections/evictions never reach the queue; the producer logs
-  // them here (single-writer until the pool joins).
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> admission_shed;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num_workers = workers_.size();
-
-  ThreadPool::instance().parallel_for(
-      0, num_workers + 1, 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t block = lo; block < hi; ++block) {
-          obs::prime();
-          if (block == 0) {
-            // The control-plane trajectory (ladder levels, breaker opens)
-            // is part of the decision ledger the runtime executes; replay
-            // it onto the trace as causal events (DESIGN.md §9).
+          // The control-plane trajectory (ladder levels, breaker opens) is
+          // part of the executed ledger; replay it onto the trace with
+          // replica-major renumbered sequence ids, as the oracle composes
+          // it (DESIGN.md §9/§10).
+          std::size_t seq_base = 0;
+          for (const Plan& p : rp.per_replica) {
             for (std::size_t seq = 0; seq < p.transitions.size(); ++seq) {
               const ControlTransition& t = p.transitions[seq];
               if (t.kind == ControlTransition::Kind::kLadder)
-                GBO_TRACE_EVENT(obs::EventType::kLadder, seq,
+                GBO_TRACE_EVENT(obs::EventType::kLadder, seq_base + seq,
                                 static_cast<std::uint16_t>(t.level), t.v_us);
               else
-                GBO_TRACE_EVENT(obs::EventType::kBreaker, seq, 1, t.v_us);
+                GBO_TRACE_EVENT(obs::EventType::kBreaker, seq_base + seq, 1,
+                                t.v_us);
             }
-            for (std::size_t i = 0; i < num_requests; ++i) {
-              std::this_thread::sleep_until(
-                  t0 + std::chrono::microseconds(trace[i].t_us));
-              const Decision& d = p.decisions[i];
-              if (d.outcome == Decision::Outcome::kRejected ||
-                  d.outcome == Decision::Outcome::kEvicted) {
-                admission_shed.emplace_back(i, outcome_code(d.outcome));
-                GBO_TRACE_EVENT(obs::EventType::kAdmit, i,
-                                outcome_code(d.outcome), d.deadline_us);
-                continue;
-              }
-              GBO_TRACE_EVENT(obs::EventType::kAdmit, i, 0, d.deadline_us);
-              Request r;
-              r.id = i;
-              r.sample = trace[i].sample;
-              r.priority = trace[i].priority;
-              r.deadline_us = d.deadline_us;
-              r.mode = d.mode;
-              // Planned sheds are still pushed, marked: they flow through
-              // the real queue and are diverted by the pop-side shed path,
-              // so the mechanism itself is exercised every run.
-              r.shed = d.shed();
-              r.reason = shed_reason(d.outcome);
-              r.enqueue_us = us_since(t0);
-              enqueue[i] = r.enqueue_us;
-              queue.push(r);
-            }
-            queue.close();
-          } else {
-            drain_queue_slo(*workers_[block - 1], queue, out_rows,
-                            completion_us, t0, injector, p.decisions);
+            seq_base += p.transitions.size();
           }
+          // The swap trajectory too: one kSwap per planned cutover and the
+          // kCanary verdict (DESIGN.md §11).
+          if (rp.swap.enabled) {
+            for (const SwapCutover& cut : rp.swap.cutovers)
+              GBO_TRACE_EVENT(obs::EventType::kSwap, cut.replica,
+                              static_cast<std::uint16_t>(cut.version),
+                              cut.at_us);
+            GBO_TRACE_EVENT(obs::EventType::kCanary, rp.swap.canary_replica,
+                            rp.swap.rolled_back ? 0 : 1, rp.swap.verdict_us);
+          }
+          for (std::size_t i = 0; i < num_requests; ++i) {
+            std::this_thread::sleep_until(
+                t0 + std::chrono::microseconds(trace[i].t_us));
+            const std::uint8_t target = rp.assignment[i];
+            GBO_TRACE_EVENT(obs::EventType::kRoute, i, target,
+                            rp.active_replicas);
+            const Decision& d = rp.decisions[i];
+            if (d.outcome == Decision::Outcome::kRejected ||
+                d.outcome == Decision::Outcome::kEvicted) {
+              admission_shed[target].emplace_back(i, outcome_code(d.outcome));
+              GBO_TRACE_EVENT(obs::EventType::kAdmit, i,
+                              outcome_code(d.outcome), d.deadline_us);
+              continue;
+            }
+            GBO_TRACE_EVENT(obs::EventType::kAdmit, i, 0, d.deadline_us);
+            Request q;
+            q.id = i;
+            q.sample = trace[i].sample;
+            q.priority = trace[i].priority;
+            q.deadline_us = d.deadline_us;
+            q.mode = d.mode;
+            // The version pin happens here, at admission: whatever
+            // cutovers land while the request waits in its queue, the
+            // worker resolves exactly this version (DESIGN.md §11).
+            q.version = d.version;
+            // Planned sheds are still pushed, marked: they flow through
+            // the real queue and are diverted by the pop-side shed path,
+            // so the mechanism itself is exercised every run.
+            q.shed = d.shed();
+            q.reason = shed_reason(d.outcome);
+            q.enqueue_us = us_since(t0);
+            enqueue[i] = q.enqueue_us;
+            queues[target].push(q);
+          }
+          for (RequestQueue& q : queues) q.close();
         }
       });
 
-  rep.wall_s = static_cast<double>(us_since(t0)) * 1e-6;
-  rep.queue = queue.depth_stats();
+  srep.wall_s = static_cast<double>(us_since(t0)) * 1e-6;
 
   // Wall-clock latency over delivered requests only; shed requests have no
   // completion and report latency 0.
-  rep.latencies_us.assign(num_requests, 0);
+  srep.latencies_us.assign(num_requests, 0);
   std::vector<std::uint64_t> delivered;
   std::array<std::vector<std::uint64_t>, kNumPriorities> by_pri;
   delivered.reserve(num_requests);
   for (std::size_t i = 0; i < num_requests; ++i) {
     if (completion[i] == 0) continue;
     const std::uint64_t lat = completion[i] - enqueue[i];
-    rep.latencies_us[i] = lat;
+    srep.latencies_us[i] = lat;
     delivered.push_back(lat);
     by_pri[static_cast<std::size_t>(trace[i].priority)].push_back(lat);
   }
-  rep.latency = LatencyStats::compute(std::move(delivered));
+  srep.latency = LatencyStats::compute(std::move(delivered));
 
+  // Per-replica exec accounting: admission bounces (attributed to the
+  // routed replica) + every worker's pop-time shed log, fingerprinted in
+  // the planner's encoding. The gates demand each replica's hash equals
+  // its sub-plan's, and the fleet union the plan's.
   std::size_t batches = 0;
-  SloSummary& s = rep.slo;
-  // The runtime's own shed record: admission bounces from the producer plus
-  // pop-time diversions from every worker, fingerprinted in the planner's
-  // encoding. The determinism gates require it to equal the plan's hash.
-  std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed =
-      std::move(admission_shed);
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    Worker& w = *workers_[wi];
-    rep.completed += w.served;
-    rep.exec_calls += w.exec_calls;
-    if (rep.batch_hist.size() < w.batch_hist.size())
-      rep.batch_hist.resize(w.batch_hist.size(), 0);
-    for (std::size_t b = 0; b < w.batch_hist.size(); ++b) {
-      rep.batch_hist[b] += w.batch_hist[b];
-      batches += w.batch_hist[b];
-    }
-    exec_shed.insert(exec_shed.end(), w.shed_log.begin(), w.shed_log.end());
-    s.exec_retried += w.retried;
-    s.exec_faults += w.faults;
-    s.exec_fallbacks += w.fallbacks;
-    s.exec_degraded += w.degraded;
-    s.exec_stalls += w.stalls;
-    const ScratchArena::Stats st = w.arena.stats();
-    rep.arena.system_allocs += st.system_allocs;
-    rep.arena.steady_allocs += st.system_allocs - allocs_before[wi];
-    rep.arena.high_water_bytes =
-        std::max(rep.arena.high_water_bytes, st.bump_high_water_bytes);
-    rep.arena.reserved_bytes += st.reserved_bytes;
-  }
-  rep.mean_batch = batches == 0 ? 0.0
-                                : static_cast<double>(rep.completed) /
-                                      static_cast<double>(batches);
-  rep.mean_exec_batch = rep.exec_calls == 0
-                            ? 0.0
-                            : static_cast<double>(rep.completed) /
-                                  static_cast<double>(rep.exec_calls);
-  rep.throughput_rps =
-      rep.wall_s > 0.0 ? static_cast<double>(rep.completed) / rep.wall_s : 0.0;
+  SloSummary& s = srep.slo;
+  std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed_all;
+  double depth_weighted = 0.0;
+  rep.replicas.resize(R);
+  for (std::size_t r = 0; r < R; ++r) {
+    ReplicaStats& rs = rep.replicas[r];
+    rs.alive = rp.alive[r] != 0;
+    rs.active = std::find(rp.active.begin(), rp.active.end(),
+                          static_cast<std::uint8_t>(r)) != rp.active.end();
+    rs.assigned = rp.per_replica[r].decisions.size();
+    rs.plan_shed_set_hash = rp.per_replica[r].shed_set_hash;
+    rs.max_virtual_depth = rp.per_replica[r].counters.max_virtual_depth;
+    rs.max_ladder_level = rp.per_replica[r].counters.max_ladder_level;
+    // Fleet queue stats: sums with max_depth maxed; mean_depth is the
+    // push-weighted mean of the per-replica means.
+    const RequestQueue::DepthStats qs = queues[r].depth_stats();
+    srep.queue.pushes += qs.pushes;
+    srep.queue.max_depth = std::max(srep.queue.max_depth, qs.max_depth);
+    srep.queue.rejected += qs.rejected;
+    srep.queue.evicted += qs.evicted;
+    srep.queue.sheds += qs.sheds;
+    depth_weighted += qs.mean_depth * static_cast<double>(qs.pushes);
 
-  std::sort(exec_shed.begin(), exec_shed.end());
-  const PlanCounters& c = p.counters;
-  s.enabled = true;
+    std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed =
+        std::move(admission_shed[r]);
+    for (const auto& wp : replicas[r]->workers_) {
+      const Worker& w = *wp;
+      rs.delivered += w.served;
+      srep.completed += w.served;
+      srep.exec_calls += w.exec_calls;
+      if (srep.batch_hist.size() < w.batch_hist.size())
+        srep.batch_hist.resize(w.batch_hist.size(), 0);
+      for (std::size_t b = 0; b < w.batch_hist.size(); ++b) {
+        srep.batch_hist[b] += w.batch_hist[b];
+        batches += w.batch_hist[b];
+      }
+      exec_shed.insert(exec_shed.end(), w.shed_log.begin(), w.shed_log.end());
+      s.exec_retried += w.retried;
+      s.exec_faults += w.faults;
+      s.exec_fallbacks += w.fallbacks;
+      s.exec_degraded += w.degraded;
+      s.exec_stalls += w.stalls;
+      const ScratchArena::Stats st = w.arena.stats();
+      srep.arena.system_allocs += st.system_allocs;
+      srep.arena.steady_allocs += st.system_allocs - w.allocs_before;
+      rs.steady_allocs += st.system_allocs - w.allocs_before;
+      srep.arena.high_water_bytes =
+          std::max(srep.arena.high_water_bytes, st.bump_high_water_bytes);
+      srep.arena.reserved_bytes += st.reserved_bytes;
+    }
+    std::sort(exec_shed.begin(), exec_shed.end());
+    rs.shed = exec_shed.size();
+    rs.exec_shed_set_hash = shed_set_fingerprint(exec_shed);
+    exec_shed_all.insert(exec_shed_all.end(), exec_shed.begin(),
+                         exec_shed.end());
+  }
+  srep.queue.mean_depth =
+      srep.queue.pushes == 0
+          ? 0.0
+          : depth_weighted / static_cast<double>(srep.queue.pushes);
+  srep.mean_batch = batches == 0 ? 0.0
+                                 : static_cast<double>(srep.completed) /
+                                       static_cast<double>(batches);
+  srep.mean_exec_batch = srep.exec_calls == 0
+                             ? 0.0
+                             : static_cast<double>(srep.completed) /
+                                   static_cast<double>(srep.exec_calls);
+  srep.throughput_rps = srep.wall_s > 0.0
+                            ? static_cast<double>(srep.completed) / srep.wall_s
+                            : 0.0;
+
+  std::sort(exec_shed_all.begin(), exec_shed_all.end());
+  const PlanCounters& c = rp.counters;
+  s.enabled = cfg.slo.enabled;
   s.admitted = num_requests - c.rejected;
   s.served = c.served;
   s.served_primary = c.served_primary;
@@ -714,15 +678,49 @@ ServeReport InferenceServer::run_slo(const std::vector<Arrival>& trace) {
   s.final_ladder_level = c.final_ladder_level;
   s.max_ladder_level = c.max_ladder_level;
   s.max_virtual_depth = c.max_virtual_depth;
-  s.deadline_us = cfg_.slo.deadline_us;
-  s.shed_set_hash = p.shed_set_hash;
-  s.virtual_latency = p.virtual_latency;
-  s.virtual_by_priority = p.virtual_by_priority;
-  s.exec_delivered = rep.completed;
-  s.exec_shed = exec_shed.size();
-  s.exec_shed_set_hash = shed_set_fingerprint(exec_shed);
+  s.deadline_us = cfg.slo.deadline_us;
+  s.shed_set_hash = rp.shed_set_hash;
+  s.virtual_latency = rp.virtual_latency;
+  s.virtual_by_priority = rp.virtual_by_priority;
+  s.exec_delivered = srep.completed;
+  s.exec_shed = exec_shed_all.size();
+  s.exec_shed_set_hash = shed_set_fingerprint(exec_shed_all);
   for (std::size_t k = 0; k < kNumPriorities; ++k)
     s.real_by_priority[k] = LatencyStats::compute(std::move(by_pri[k]));
+
+  if (rp.swap.enabled) {
+    SwapSummary& sw = srep.swap;
+    sw.enabled = true;
+    sw.rolled_back = rp.swap.rolled_back;
+    sw.from_version = rp.swap.from_version;
+    sw.to_version = rp.swap.to_version;
+    sw.canary_replica = rp.swap.canary_replica;
+    sw.start_us = rp.swap.start_us;
+    sw.verdict_us = rp.swap.verdict_us;
+    sw.canary_served = rp.swap.canary_served;
+    sw.canary_faults = rp.swap.canary_faults;
+    sw.breaker_opens = rp.swap.breaker_opens;
+    sw.latency_breach = rp.swap.latency_breach;
+    sw.cutovers = rp.swap.cutovers.size();
+    sw.version_hash = rp.swap.version_hash;
+    // Payload provenance: the pinned version per request id, and how many
+    // deliveries each version produced.
+    srep.versions = rp.swap.version_of;
+    for (std::size_t i = 0; i < num_requests; ++i) {
+      if (!rp.decisions[i].served()) continue;
+      const std::uint32_t v = rp.swap.version_of[i];
+      auto it = std::find_if(
+          sw.served_by_version.begin(), sw.served_by_version.end(),
+          [v](const std::pair<std::uint32_t, std::size_t>& e) {
+            return e.first == v;
+          });
+      if (it == sw.served_by_version.end())
+        sw.served_by_version.emplace_back(v, 1);
+      else
+        ++it->second;
+    }
+    std::sort(sw.served_by_version.begin(), sw.served_by_version.end());
+  }
   return rep;
 }
 

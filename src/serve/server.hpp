@@ -5,21 +5,26 @@
 //
 //   make_trace(cfg)            seeded Poisson/burst arrival trace
 //        |
-//   InferenceServer::run       replays arrivals in real time into a
-//        |                     RequestQueue (one producer)
+//   plan_trace                 the RouterPlan ledger, fixed on the virtual
+//        |                     clock before t0: SLO decisions (§7), or the
+//        |                     always-serve ledger when the SLO is off
+//   InferenceServer::execute   the one executor (single replica and
+//        |                     ReplicaGroup alike): replays arrivals in real
+//        |                     time into per-replica RequestQueues (one
+//        |                     producer) exactly as the plan says
 //   RequestQueue::pop_batch    dynamic micro-batching (max_batch /
 //        |                     max_wait_us)
-//   worker pool                num_workers long-lived workers on the shared
-//        |                     ThreadPool; each owns an EvalContext with a
-//        |                     ScratchArena, so steady-state request
-//        |                     processing allocates nothing
+//   worker pool                num_workers long-lived workers per replica on
+//        |                     the shared ThreadPool; each owns an
+//        |                     EvalContext with a ScratchArena, so steady-
+//        |                     state request processing allocates nothing
 //   Backend::run               analytic (host net) or pulse-level
 //                              (HardwareNetwork) execution
 //
 // The worker pool reuses common/thread_pool: one parallel_for dispatches
-// num_workers + 1 blocks (block 0 replays the trace, the rest are worker
-// loops). Because the pool claims blocks in order, the producer always
-// starts first; with a single-thread pool the trace is replayed to
+// 1 + replicas * num_workers blocks (block 0 replays the plan, the rest are
+// worker drains). Because the pool claims blocks in order, the producer
+// always starts first; with a single-thread pool the trace is replayed to
 // completion and then drained sequentially — degenerate latencies, but the
 // same payloads, which is the point: outputs depend only on
 // (seed, request id), never on worker count, pool size, or batching.
@@ -45,6 +50,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +62,8 @@ struct ServeConfig {
   /// Root seed of the per-request noise forks (stochastic backends).
   std::uint64_t seed = 1;
   /// SLO control plane (DESIGN.md §7); disabled by default, in which case
-  /// the legacy always-serve path runs unchanged.
+  /// the plan is the always-serve ledger (no deadlines, sheds, retries or
+  /// injected faults) and runs through the same executor.
   SloPolicy slo;
 };
 
@@ -99,7 +106,8 @@ class ServerSpec {
   };
   Validation validate() const;
 
-  /// The config with every validate() clamp applied.
+  /// The config with every validate() clamp applied; an SLO-off config
+  /// also has its fault model cleared (SLO-off runs inject no faults).
   ServeConfig normalized_config() const;
   /// The replica count with every validate() clamp applied.
   std::size_t normalized_replicas() const;
@@ -125,6 +133,8 @@ class ServerSpec {
 };
 
 class ReplicaGroup;
+struct RouterPlan;    // serve/router.hpp
+struct RouterReport;  // serve/router.hpp
 
 class InferenceServer {
  public:
@@ -141,16 +151,20 @@ class InferenceServer {
   /// steady-state.
   void warmup();
 
-  /// Replays the trace in real time and serves it to completion. An empty
-  /// trace (or empty dataset) returns an empty report with a warning.
-  ///
-  /// With cfg.slo.enabled the run is planned first: policy::plan() decides
-  /// every admit / shed / degrade / retry outcome on the virtual clock
-  /// (DESIGN.md §7), then the real replay executes the plan — planned
-  /// rejections are bounced at admission, planned sheds are pushed marked
-  /// and diverted at pop time, and fault/retry behaviour is re-derived
-  /// live from the same seeded FaultInjector. Payloads and the shed set
-  /// are bitwise identical at any worker count.
+  /// The plan run() executes for this trace: route_plan() over one replica
+  /// with the default RouterPolicy (pure; include serve/router.hpp to use
+  /// it). With cfg.slo.enabled it carries every admit / shed / degrade /
+  /// retry outcome decided on the virtual clock (DESIGN.md §7); otherwise
+  /// it is the always-serve ledger.
+  RouterPlan plan_trace(const std::vector<Arrival>& trace) const;
+
+  /// Replays the trace in real time and serves it to completion by
+  /// executing plan_trace(trace): planned rejections are bounced at
+  /// admission, planned sheds are pushed marked and diverted at pop time,
+  /// and fault/retry behaviour is re-derived live from the same seeded
+  /// FaultInjector. Payloads and the shed set are bitwise identical at any
+  /// worker count. An empty trace (or empty dataset) returns an empty
+  /// report with a warning.
   ServeReport run(const std::vector<Arrival>& trace);
 
  private:
@@ -162,26 +176,44 @@ class InferenceServer {
     std::vector<std::size_t> batch_hist;  // index = batch size
     std::size_t served = 0;
     std::size_t exec_calls = 0;           // Backend::run invocations
-    // SLO-run route partitions, reused across batches (capacity settles at
+    // Route partitions, reused across batches (capacity settles at
     // max_batch, so steady-state batches allocate nothing).
     std::vector<Request> primary_group;
     std::vector<Request> degraded_group;
-    // SLO-run accounting (merged into SloSummary after the run).
+    // Plan-execution accounting (merged into SloSummary after the run).
     std::vector<std::pair<std::uint64_t, std::uint8_t>> shed_log;
     std::size_t retried = 0;    // requests served after >= 1 failed attempt
     std::size_t faults = 0;     // failed primary attempts observed
     std::size_t fallbacks = 0;  // retries exhausted, served degraded
     std::size_t degraded = 0;   // served on the degraded backend (any mode)
     std::size_t stalls = 0;     // injected worker stalls
+    std::size_t allocs_before = 0;  // arena system allocs at run start
     Worker() { ctx.arena = &arena; }
+    /// Zeroes the per-run accounting and snapshots the arena counter.
+    void begin_run(std::size_t max_batch);
   };
+
+  /// The one spec check: validate(), plus the single-replica rules when
+  /// `single_replica` (replicas > 1 and swaps need a ReplicaGroup). Throws
+  /// std::invalid_argument listing every error, logs every warning, and
+  /// returns the spec.
+  static const ServerSpec& checked_spec(const ServerSpec& spec,
+                                        bool single_replica);
+  /// The one serving executor: replays `rp` onto replicas[0..n) — one
+  /// parallel_for of a producer block (transitions, swap events, then per
+  /// request kRoute, kAdmit and the push onto its replica's queue) plus
+  /// num_workers drain blocks per replica — and aggregates the run into
+  /// one RouterReport. InferenceServer::run passes itself as a one-replica
+  /// fleet and returns the report's ServeReport.
+  static RouterReport execute(std::span<InferenceServer* const> replicas,
+                              const RouterPlan& rp,
+                              const std::vector<Arrival>& trace);
 
   void warmup_backend(const Backend& backend, FusionMode mode);
   /// Executes group[0..n) (all routed to `backend` under `mode`) and writes
   /// each request's logits row into out_rows[id]. Takes a pointer + count
-  /// so the SLO route can execute contiguous same-version runs of a batch
-  /// without re-partitioning into fresh vectors (hot path stays
-  /// zero-alloc). Shared by the legacy path and both SLO routes.
+  /// so a batch can execute contiguous same-version runs without
+  /// re-partitioning into fresh vectors (hot path stays zero-alloc).
   void exec_rows(Worker& w, const Backend& backend, FusionMode mode,
                  const Request* group, std::size_t n, float* out_rows);
   /// The backend / frozen fusion mode serving primary-class requests pinned
@@ -189,30 +221,25 @@ class InferenceServer {
   /// snapshot pinned at warmup). Lock-free: flat vector lookups.
   const Backend& backend_for_version(std::uint32_t version) const;
   FusionMode mode_for_version(std::uint32_t version) const;
-  void process_batch(Worker& w, const std::vector<Request>& batch,
-                     float* out_rows, std::uint64_t* completion_us,
-                     const std::chrono::steady_clock::time_point& t0);
-  /// SLO-route variant: injects stalls/retry backoff, splits the popped
+  /// Serves one popped batch: injects stalls/retry backoff and splits the
   /// batch by planned ServeMode between the primary and degraded backends.
   /// `decisions` is indexed by global request id and supplies each
   /// delivery's virtual completion time for the causal trace (DESIGN.md
-  /// §9) — for a router run it is the fleet-wide merged ledger.
-  void process_batch_slo(Worker& w, const std::vector<Request>& batch,
-                         float* out_rows, std::uint64_t* completion_us,
-                         const std::chrono::steady_clock::time_point& t0,
-                         const FaultInjector& injector,
-                         const std::vector<Decision>& decisions);
-  /// One worker's SLO drain loop: pops until `queue` closes, diverting
-  /// pre-marked sheds into the worker's shed log. Shared by run_slo and
-  /// the router's per-replica worker blocks (serve/router.cpp).
-  void drain_queue_slo(Worker& w, RequestQueue& queue, float* out_rows,
-                       std::uint64_t* completion_us,
-                       const std::chrono::steady_clock::time_point& t0,
-                       const FaultInjector& injector,
-                       const std::vector<Decision>& decisions);
-  ServeReport run_slo(const std::vector<Arrival>& trace);
+  /// §9).
+  void serve_batch(Worker& w, const std::vector<Request>& batch,
+                   float* out_rows, std::uint64_t* completion_us,
+                   const std::chrono::steady_clock::time_point& t0,
+                   const FaultInjector& injector,
+                   const std::vector<Decision>& decisions);
+  /// One worker's drain loop: pops until `queue` closes, diverting
+  /// pre-marked sheds into the worker's shed log.
+  void drain_queue(Worker& w, RequestQueue& queue, float* out_rows,
+                   std::uint64_t* completion_us,
+                   const std::chrono::steady_clock::time_point& t0,
+                   const FaultInjector& injector,
+                   const std::vector<Decision>& decisions);
 
-  friend class ReplicaGroup;  // drives warmup/drain across its replicas
+  friend class ReplicaGroup;  // checks its spec, executes across replicas
 
   const Backend& backend_;
   const Backend* degraded_ = nullptr;  // SLO fallback; null = use primary

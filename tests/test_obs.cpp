@@ -10,6 +10,7 @@
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 #include "serve/policy.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
 
@@ -236,7 +237,17 @@ TEST(TraceRuntime, ChromeExportAndSummaryAreWellFormed) {
 
 // ---- end-to-end: serving runs hash identically across worker counts ------
 
-TEST(TraceServe, LegacyRunFingerprintMatchesAcrossWorkersAndOracle) {
+// kBatch spans of a snapshot whose route tag (a) equals `route`.
+std::size_t batch_spans_on_route(const obs::TraceSnapshot& snap,
+                                 std::uint16_t route) {
+  return static_cast<std::size_t>(std::count_if(
+      snap.events.begin(), snap.events.end(), [route](const obs::Event& e) {
+        return e.type == static_cast<std::uint8_t>(obs::EventType::kBatch) &&
+               e.a == route;
+      }));
+}
+
+TEST(TraceServe, SloOffRunFingerprintMatchesAcrossWorkersAndOracle) {
   TraceGuard tg;
   ThreadGuard guard;
   models::MlpConfig mcfg;
@@ -280,9 +291,17 @@ TEST(TraceServe, LegacyRunFingerprintMatchesAcrossWorkersAndOracle) {
   const std::uint64_t fp1 = obs::causal_fingerprint(snap1.events);
   const std::uint64_t fp4 = obs::causal_fingerprint(snap4.events);
   EXPECT_EQ(fp1, fp4);
-  EXPECT_EQ(fp1, serve::expected_causal_fingerprint(trace.size()));
+  // SLO-off runs execute the always-serve ledger through the same executor,
+  // so the one RouterPlan oracle covers them too.
+  const serve::RouterPlan plan = s1.plan_trace(trace);
+  EXPECT_EQ(fp1, serve::expected_causal_fingerprint(plan));
   EXPECT_EQ(obs::causal_event_count(snap1.events),
-            serve::expected_causal_event_count(trace.size()));
+            serve::expected_causal_event_count(plan));
+  // Every batch ran on the primary route: no kBatch span carries the
+  // degraded tag.
+  EXPECT_GT(batch_spans_on_route(snap1, 0), 0u);
+  EXPECT_EQ(batch_spans_on_route(snap1, 1), 0u);
+  EXPECT_EQ(batch_spans_on_route(snap4, 1), 0u);
 }
 
 TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
@@ -342,13 +361,6 @@ TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
   cfg.slo.fault.outage_start_id = 30;
   cfg.slo.fault.outage_len = 12;
 
-  const serve::Plan plan = serve::plan(trace, cfg.slo, cfg.batch);
-  // The scenario must actually exercise sheds + transitions or this test
-  // proves nothing about the richer causal vocabulary.
-  ASSERT_GT(plan.counters.shed_expired + plan.counters.shed_overload, 0u);
-  ASSERT_GT(plan.counters.ladder_transitions, 0u);
-  ASSERT_GT(plan.counters.retried_requests, 0u);
-
   ThreadPool::instance().set_num_threads(1);
   cfg.num_workers = 1;
   serve::InferenceServer s1(serve::ServerSpec{}
@@ -356,6 +368,14 @@ TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
                                 .degraded(db)
                                 .dataset(ds)
                                 .config(cfg));
+  const serve::RouterPlan plan = s1.plan_trace(trace);
+  // The scenario must actually exercise sheds + transitions or this test
+  // proves nothing about the richer causal vocabulary.
+  ASSERT_GT(plan.counters.shed_expired + plan.counters.shed_overload, 0u);
+  ASSERT_GT(plan.counters.ladder_transitions, 0u);
+  ASSERT_GT(plan.counters.retried_requests, 0u);
+  ASSERT_GT(plan.counters.degraded_ladder, 0u);
+
   obs::begin_session();
   (void)s1.run(trace);
   const obs::TraceSnapshot snap1 = obs::end_session();
@@ -381,6 +401,9 @@ TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
             serve::expected_causal_event_count(plan));
   EXPECT_EQ(obs::causal_event_count(snap4.events),
             serve::expected_causal_event_count(plan));
+  // The ladder degraded work, so some batch ran on the degraded route.
+  EXPECT_GT(batch_spans_on_route(snap1, 1), 0u);
+  EXPECT_GT(batch_spans_on_route(snap4, 1), 0u);
 }
 
 TEST(TraceServe, SteadyStateEmissionDoesNotMintRings) {

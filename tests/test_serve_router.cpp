@@ -3,13 +3,15 @@
 // routing fingerprint contract of ReplicaGroup::run, column-sharded
 // crossbar execution bitwise equal to the unsharded sweep, the ServerSpec
 // builder (validation in one pass, equivalence with the deprecated
-// constructors), and the replica-outage reroute built on the PR 6 fault
-// injector.
+// constructors), the replica-outage reroute built on the fault injector,
+// and a seeded property test of the one serving executor over
+// randomized traces, SLO policies and server shapes.
 #include "common/thread_pool.hpp"
 #include "crossbar/hw_deploy.hpp"
 #include "crossbar/mapper.hpp"
 #include "crossbar/mvm_engine.hpp"
 #include "models/mlp.hpp"
+#include "obs/trace.hpp"
 #include "serve/policy.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
@@ -359,6 +361,184 @@ TEST(ServeRouter, OutageRerouteKeepsDeliveredPayloadBits) {
   EXPECT_GT(both, 0u);
 }
 
+// ---- seeded property test of the serving executor ------------------------
+
+// One randomized serving scenario drawn from a seed: trace shape, rate and
+// priority mix; SloPolicy on or off with its deadline, queue bound, ladder,
+// costs and faults; and the server — an InferenceServer, or a ReplicaGroup
+// of 1-4 replicas (exactly one when the SLO is off) under round-robin or
+// hash routing with an optional replica outage.
+struct ExecutorCase {
+  std::vector<serve::Arrival> trace;
+  serve::ServeConfig cfg;
+  bool group = false;
+  std::size_t replicas = 1;
+  serve::RouterPolicy router;
+  bool headroom_covers_worst_batch = false;
+};
+
+ExecutorCase draw_case(std::uint64_t seed, std::size_t ds_size) {
+  Rng rng(seed);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(rng.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  ExecutorCase c;
+  // Rates and shape windows keep every trace under ~30 ms of replay.
+  serve::TrafficConfig t;
+  t.num_requests = pick(40, 160);
+  t.rate_rps = rng.uniform(5000.0, 40000.0);
+  t.shape = static_cast<serve::TraceShape>(pick(0, 2));
+  t.burst_factor = rng.uniform(1.0, 6.0);
+  t.burst_duty = rng.uniform(0.0, 0.5);
+  t.burst_period_s = 0.004;
+  t.diurnal_period_s = 0.01;
+  t.flash_factor = rng.uniform(2.0, 12.0);
+  t.flash_start_s = 0.001;
+  t.flash_ramp_s = 0.001;
+  t.flash_hold_s = 0.003;
+  if (rng.bernoulli(0.6)) {
+    t.high_fraction = rng.uniform(0.0, 0.4);
+    t.low_fraction = rng.uniform(0.0, 0.4);
+  }
+  t.seed = seed;
+  c.trace = serve::make_trace(t, ds_size);
+
+  serve::ServeConfig& cfg = c.cfg;
+  cfg.batch.max_batch = pick(1, 8);
+  cfg.batch.max_wait_us = pick(0, 200);
+  cfg.seed = seed;
+  serve::SloPolicy& slo = cfg.slo;
+  slo.enabled = rng.bernoulli(0.7);
+  slo.cost.batch_fixed_us = pick(10, 60);
+  slo.cost.primary_us = pick(50, 800);
+  slo.cost.degraded_us = pick(10, 100);
+  slo.cost.retry_penalty_us = pick(0, 100);
+  slo.virtual_lanes = pick(1, 3);
+  slo.retry.max_attempts = pick(1, 3);
+  slo.retry.backoff_us = pick(0, 20);
+  // The costliest batch the planner can form: every row pays the dearer
+  // mode plus every allowed failed attempt.
+  const std::uint64_t worst_batch =
+      slo.cost.batch_fixed_us +
+      cfg.batch.max_batch *
+          (std::max(slo.cost.primary_us, slo.cost.degraded_us) +
+           slo.retry.max_attempts * slo.cost.retry_penalty_us);
+  c.headroom_covers_worst_batch = rng.bernoulli(0.5);
+  slo.completion_headroom_us = c.headroom_covers_worst_batch
+                                   ? worst_batch + pick(0, 500)
+                                   : pick(0, worst_batch);
+  slo.deadline_us = rng.bernoulli(0.8) ? pick(1000, 20000) : 0;
+  if (rng.bernoulli(0.5)) {
+    slo.queue.capacity = pick(8, 64);
+    slo.queue.on_full = rng.bernoulli(0.5)
+                            ? serve::QueuePolicy::OnFull::kRejectNew
+                            : serve::QueuePolicy::OnFull::kDropOldest;
+  }
+  slo.ladder.degrade_depth = pick(4, 48);
+  slo.ladder.shed_depth = slo.ladder.degrade_depth + pick(2, 32);
+  slo.ladder.recover_depth = pick(0, 2);
+  slo.ladder.shed_floor = static_cast<serve::Priority>(pick(0, 2));
+  slo.breaker.failure_threshold = pick(2, 5);
+  slo.breaker.cooldown_us = pick(1000, 20000);
+  // Drawn for SLO-off cases too: normalized_config() must drop them there.
+  if (rng.bernoulli(0.6)) {
+    slo.fault.enabled = true;
+    slo.fault.seed = seed + 1;
+    slo.fault.transient_rate = rng.uniform(0.05, 0.3);
+    slo.fault.outage_start_id = pick(0, t.num_requests);
+    slo.fault.outage_len = pick(0, 12);
+    slo.fault.stall_rate = rng.uniform(0.0, 0.05);
+    slo.fault.stall_us = pick(0, 20);
+  }
+
+  c.group = rng.bernoulli(0.6);
+  c.replicas = c.group && slo.enabled ? pick(1, 4) : 1;
+  c.router.strategy = rng.bernoulli(0.5)
+                          ? serve::RouterPolicy::Strategy::kRoundRobin
+                          : serve::RouterPolicy::Strategy::kHash;
+  c.router.seed = seed + 2;
+  c.router.scale_depth = rng.bernoulli(0.5) ? 0 : pick(4, 32);
+  c.router.min_replicas = pick(1, 2);
+  if (rng.bernoulli(0.3)) {
+    c.router.fault.enabled = true;
+    c.router.fault.outage_start_id = pick(0, c.replicas - 1);
+    c.router.fault.outage_len = 1;
+  }
+  return c;
+}
+
+// What one execution of a case produced, next to the plan it executed.
+struct CaseRun {
+  serve::RouterPlan plan;
+  serve::ServeReport rep;
+  obs::TraceSnapshot snap;
+};
+
+CaseRun run_case(const FleetFixture& f, const ExecutorCase& c,
+                 std::size_t pool_width, std::size_t workers) {
+  ThreadPool::instance().set_num_threads(pool_width);
+  serve::ServeConfig cfg = c.cfg;
+  cfg.num_workers = workers;
+  CaseRun out;
+  if (c.group) {
+    serve::ReplicaGroup g(f.spec(cfg, c.replicas, c.router));
+    out.plan = g.plan_trace(c.trace);
+    obs::begin_session();
+    out.rep = g.run(c.trace).serve;
+  } else {
+    serve::InferenceServer s(f.spec(cfg, 1, serve::RouterPolicy{}));
+    out.plan = s.plan_trace(c.trace);
+    obs::begin_session();
+    out.rep = s.run(c.trace);
+  }
+  out.snap = obs::end_session();
+  return out;
+}
+
+TEST(ServeExecutor, SeededPropertiesHoldAtPoolWidthsOneAndFour) {
+  ThreadGuard guard;
+  const FleetFixture f;
+  std::size_t slo_off = 0, fleets = 0, covered = 0, shedding = 0,
+              retrying = 0;
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const ExecutorCase c = draw_case(seed, f.ds.size());
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    slo_off += c.cfg.slo.enabled ? 0 : 1;
+    fleets += c.replicas > 1 ? 1 : 0;
+    covered += c.headroom_covers_worst_batch ? 1 : 0;
+    const std::size_t n = c.trace.size();
+    const CaseRun one = run_case(f, c, 1, 1);
+    const CaseRun four = run_case(f, c, 4, 1 + seed % 3);
+    for (const CaseRun* r : {&one, &four}) {
+      const serve::SloSummary& s = r->rep.slo;
+      const serve::PlanCounters& pc = r->plan.counters;
+      EXPECT_EQ(s.exec_delivered + s.exec_shed, n);
+      EXPECT_EQ(s.exec_delivered, pc.served);
+      EXPECT_EQ(s.exec_shed_set_hash, r->plan.shed_set_hash);
+      EXPECT_EQ(s.exec_retried, pc.retried_requests);
+      EXPECT_EQ(s.exec_faults, pc.faults_injected);
+      if (c.headroom_covers_worst_batch) {
+        EXPECT_EQ(pc.late, 0u);
+      }
+      if (obs::runtime_enabled()) {
+        EXPECT_EQ(r->snap.dropped, 0u);
+        EXPECT_EQ(obs::causal_fingerprint(r->snap.events),
+                  serve::expected_causal_fingerprint(r->plan));
+      }
+    }
+    expect_bitwise_equal(one.rep.outputs, four.rep.outputs);
+    shedding += one.rep.slo.exec_shed > 0 ? 1 : 0;
+    retrying += one.rep.slo.exec_retried > 0 ? 1 : 0;
+  }
+  // The seed set reaches every class of case the property is stated over.
+  EXPECT_GT(slo_off, 0u);
+  EXPECT_GT(fleets, 0u);
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(shedding, 0u);
+  EXPECT_GT(retrying, 0u);
+}
+
 // ---- ServerSpec builder ---------------------------------------------------
 
 TEST(ServerSpecBuilder, SingleReplicaSpecIsReproducible) {
@@ -431,6 +611,16 @@ TEST(ServerSpecBuilder, ValidateReportsEveryProblemAtOnce) {
   EXPECT_EQ(norm.num_workers, 1u);
   EXPECT_EQ(norm.batch.max_batch, 1u);
   EXPECT_EQ(clamped.normalized_replicas(), 1u);
+
+  // The routing assignment is one byte per request, so more than 255
+  // replicas is an error of the same validation pass.
+  const auto v256 = f.spec(fleet_config(), 256, router).validate();
+  EXPECT_FALSE(v256.ok());
+  EXPECT_TRUE(std::any_of(
+      v256.errors.begin(), v256.errors.end(), [](const std::string& e) {
+        return e.find("255") != std::string::npos;
+      }));
+  EXPECT_TRUE(f.spec(fleet_config(), 255, router).validate().ok());
 
   // The throwing constructor reports every error in one message.
   serve::ServeConfig no_slo = fleet_config();
