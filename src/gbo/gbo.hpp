@@ -16,105 +16,52 @@
 // point. At inference each layer uses argmax_k λ^l_k.
 #pragma once
 
-#include "common/rng.hpp"
-#include "data/dataloader.hpp"
 #include "encoding/pla.hpp"
-#include "nn/optim.hpp"
-#include "nn/sequential.hpp"
-#include "quant/quant_layers.hpp"
+#include "gbo/mixture.hpp"
 
-#include <memory>
 #include <vector>
 
 namespace gbo::opt {
 
-struct GboConfig {
+struct GboConfig : LambdaLoopConfig {
   /// Pulse scaling set Ω (multiples of the base pulse count).
   std::vector<double> scale_set = {0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0};
   std::size_t base_pulses = 8;   // p
   double sigma = 1.0;            // per-pulse crossbar noise std during training
-  double gamma = 1e-3;           // latency-regularizer weight (Eq. 6)
-  std::size_t epochs = 10;       // paper: 10 epochs of λ-only training
-  float lr = 1e-4f;              // paper: ADAM, lr 1e-4
-  std::size_t batch_size = 32;
-  std::uint64_t seed = 21;
+  // LambdaLoopConfig: gamma 1e-3 (Eq. 6), 10 epochs of λ-only training with
+  // ADAM at lr 1e-4 (paper), batch 32, seed 21.
 
   /// The realizable pulse lengths round(scale * p) for each scheme.
   std::vector<std::size_t> pulse_lengths() const;
+
+  /// Per-scheme noise std σ/√(n_k p): the thermometer variance factor at
+  /// n_k p realized pulses (Eq. 4).
+  std::vector<double> noise_stddevs() const;
 };
 
 /// Per-layer GBO state: the λ logits and the Eq. 5 noise-mixture hook.
-class GboLayerState : public quant::MvmNoiseHook {
+///
+/// ε cache: on_forward redraws the m ε_k tensors in place (k order, from
+/// the state's one stream) and keeps them for on_backward's
+/// c_k = <grad_out, ε_k>. They are reallocated only when the MVM output
+/// shape changes, so a λ loop at a fixed batch size allocates no noise
+/// buffers after its first step (SchemeMixtureState).
+class GboLayerState : public SchemeMixtureState {
  public:
   GboLayerState(const GboConfig& cfg, Rng rng);
-
-  /// Adds Σ_k α_k ε_k to the MVM output; caches the ε_k samples.
-  void on_forward(Tensor& out) override;
-
-  /// Accumulates ∂L_ce/∂λ from the incoming output gradient (Eq. 7).
-  void on_backward(const Tensor& grad_out) override;
-
-  /// Adds the latency-regularizer gradient γ·∂(Σ α_k n_k p)/∂λ. Call once
-  /// per optimization step (it is data independent).
-  void accumulate_latency_grad();
-
-  /// Current softmax probabilities α (recomputed from λ).
-  std::vector<double> alpha() const;
-
-  /// Expected latency Σ_k α_k n_k p in pulses.
-  double expected_pulses() const;
-
-  /// argmax_k λ_k — the scheme selected for inference.
-  std::size_t selected_scheme() const;
-  std::size_t selected_pulses() const;
-
-  nn::Param& lambda() { return lambda_; }
-  const std::vector<std::size_t>& pulses() const { return pulses_; }
-
- private:
-  GboConfig cfg_;
-  std::vector<std::size_t> pulses_;  // n_k · p per scheme
-  nn::Param lambda_;                 // [m]
-  Rng rng_;
-  std::vector<Tensor> cached_noise_;  // ε_k of the last forward
-  std::vector<double> cached_alpha_;
-};
-
-struct GboEpochStats {
-  float loss_ce = 0.0f;
-  float loss_latency = 0.0f;
-  float train_accuracy = 0.0f;
-  double avg_expected_pulses = 0.0;
 };
 
 /// Runs the GBO phase on a pre-trained network: freezes all network
 /// parameters, attaches one GboLayerState per encoded layer, and optimizes
 /// the λ logits with ADAM against Eq. 6.
-class GboTrainer {
+class GboTrainer : public LambdaTrainer {
  public:
   GboTrainer(nn::Sequential& net, std::vector<quant::Hookable*> encoded_layers,
-             GboConfig cfg);
-  ~GboTrainer();
+             const GboConfig& cfg);
 
-  GboTrainer(const GboTrainer&) = delete;
-  GboTrainer& operator=(const GboTrainer&) = delete;
-
-  /// One full optimization run over `train`; returns per-epoch stats.
-  std::vector<GboEpochStats> train(const data::Dataset& train);
-
-  /// Per-layer pulse counts selected by argmax λ.
-  std::vector<std::size_t> selected_pulses() const;
-  double avg_selected_pulses() const;
-
-  GboLayerState& layer_state(std::size_t i) { return *states_.at(i); }
-  std::size_t num_layers() const { return states_.size(); }
-
- private:
-  nn::Sequential& net_;
-  std::vector<quant::Hookable*> layers_;
-  GboConfig cfg_;
-  std::vector<std::unique_ptr<GboLayerState>> states_;
-  std::vector<bool> saved_requires_grad_;
+  GboLayerState& layer_state(std::size_t i) {
+    return static_cast<GboLayerState&>(*states_.at(i));
+  }
 };
 
 }  // namespace gbo::opt

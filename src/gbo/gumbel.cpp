@@ -1,7 +1,6 @@
 #include "gbo/gumbel.hpp"
 
 #include "common/logging.hpp"
-#include "nn/loss.hpp"
 #include "tensor/ops.hpp"
 
 #include <cmath>
@@ -22,13 +21,11 @@ double sample_gumbel(Rng& rng) {
 }  // namespace
 
 GumbelLayerState::GumbelLayerState(const GumbelConfig& cfg, Rng rng)
-    : cfg_(cfg), pulses_(cfg.base.pulse_lengths()), rng_(rng),
-      tau_(cfg.tau_start) {
-  if (pulses_.empty())
-    throw std::invalid_argument("GumbelGbo: empty scale set");
-  if (cfg_.tau_start <= 0.0 || cfg_.tau_end <= 0.0)
+    : SchemeMixtureState(cfg.base.pulse_lengths(), cfg.base.noise_stddevs(),
+                         cfg.base.gamma, rng, "GumbelLayerState"),
+      hard_(cfg.hard), tau_(cfg.tau_start) {
+  if (cfg.tau_start <= 0.0 || cfg.tau_end <= 0.0)
     throw std::invalid_argument("GumbelGbo: temperatures must be positive");
-  lambda_ = nn::Param("lambda", Tensor({pulses_.size()}));
 }
 
 void GumbelLayerState::set_temperature(double tau) {
@@ -37,142 +34,48 @@ void GumbelLayerState::set_temperature(double tau) {
   tau_ = tau;
 }
 
-std::vector<double> GumbelLayerState::alpha() const {
-  const std::size_t m = pulses_.size();
-  std::vector<double> a(m);
-  double mx = lambda_.value[0];
-  for (std::size_t k = 1; k < m; ++k)
-    mx = std::max(mx, static_cast<double>(lambda_.value[k]));
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    a[k] = std::exp(static_cast<double>(lambda_.value[k]) - mx);
-    denom += a[k];
-  }
-  for (double& v : a) v /= denom;
-  return a;
-}
-
 void GumbelLayerState::on_forward(Tensor& out) {
-  const std::size_t m = pulses_.size();
+  const std::size_t m = pulses().size();
   // Relaxed one-hot sample y = softmax((λ + g)/τ).
   std::vector<double> logits(m);
   for (std::size_t k = 0; k < m; ++k)
     logits[k] =
-        (static_cast<double>(lambda_.value[k]) + sample_gumbel(rng_)) / tau_;
-  double mx = logits[0];
-  for (std::size_t k = 1; k < m; ++k) mx = std::max(mx, logits[k]);
-  cached_y_.assign(m, 0.0);
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    cached_y_[k] = std::exp(logits[k] - mx);
-    denom += cached_y_[k];
-  }
-  for (double& v : cached_y_) v /= denom;
+        (static_cast<double>(lambda().value[k]) + sample_gumbel(rng_)) / tau_;
+  cached_y_ = softmax(logits);
 
   // Per-scheme noise samples (needed for the backward pass either way).
-  cached_noise_.assign(m, Tensor());
-  for (std::size_t k = 0; k < m; ++k) {
-    const double std = cfg_.base.sigma /
-                       std::sqrt(static_cast<double>(pulses_[k]));
-    Tensor eps(out.shape());
-    ops::fill_normal(eps, rng_, 0.0f, static_cast<float>(std));
-    cached_noise_[k] = std::move(eps);
-  }
-
-  if (cfg_.hard) {
+  draw_noise(out);
+  if (hard_) {
     // Straight-through: the forward pass adds exactly one scheme's noise
     // (what inference does); gradients pretend the soft mixture was used.
     std::size_t j = 0;
     for (std::size_t k = 1; k < m; ++k)
       if (cached_y_[k] > cached_y_[j]) j = k;
-    ops::axpy_inplace(out, 1.0f, cached_noise_[j]);
+    ops::axpy_inplace(out, 1.0f, noise(j));
   } else {
-    for (std::size_t k = 0; k < m; ++k)
-      ops::axpy_inplace(out, static_cast<float>(cached_y_[k]),
-                        cached_noise_[k]);
+    add_noise(out, cached_y_);
   }
 }
 
 void GumbelLayerState::on_backward(const Tensor& grad_out) {
-  const std::size_t m = pulses_.size();
-  if (cached_noise_.size() != m || cached_y_.size() != m)
-    throw std::logic_error("GumbelLayerState: backward without forward");
-
   // Through the relaxation, out = Σ y_k ε_k with y = softmax(z/τ),
-  // z = λ + g. With c_k = <grad_out, ε_k>:
-  //   ∂L/∂λ_j = (1/τ) · y_j (c_j - Σ_k y_k c_k).
-  std::vector<double> c(m, 0.0);
-  for (std::size_t k = 0; k < m; ++k) {
-    const float* g = grad_out.data();
-    const float* e = cached_noise_[k].data();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-      acc += static_cast<double>(g[i]) * e[i];
-    c[k] = acc;
-  }
-  double mean_c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) mean_c += cached_y_[k] * c[k];
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] +=
-        static_cast<float>(cached_y_[j] * (c[j] - mean_c) / tau_);
+  // z = λ + g:  ∂L/∂λ_j = (1/τ) · y_j (c_j - Σ_k y_k c_k).
+  accumulate_noise_grad(grad_out, cached_y_, tau_);
 }
 
 void GumbelLayerState::accumulate_latency_grad() {
-  const std::size_t m = pulses_.size();
-  if (cached_y_.size() != m) return;  // no forward yet this step
-  double expected = 0.0;
-  for (std::size_t k = 0; k < m; ++k)
-    expected += cached_y_[k] * static_cast<double>(pulses_[k]);
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] += static_cast<float>(
-        cfg_.base.gamma * cached_y_[j] *
-        (static_cast<double>(pulses_[j]) - expected) / tau_);
-}
-
-double GumbelLayerState::expected_pulses() const {
-  const auto a = alpha();
-  double expected = 0.0;
-  for (std::size_t k = 0; k < pulses_.size(); ++k)
-    expected += a[k] * static_cast<double>(pulses_[k]);
-  return expected;
-}
-
-std::size_t GumbelLayerState::selected_scheme() const {
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < pulses_.size(); ++k)
-    if (lambda_.value[k] > lambda_.value[best]) best = k;
-  return best;
-}
-
-std::size_t GumbelLayerState::selected_pulses() const {
-  return pulses_[selected_scheme()];
+  if (cached_y_.size() != pulses().size()) return;  // no forward yet
+  accumulate_pulse_grad(cached_y_, tau_);
 }
 
 GumbelGboTrainer::GumbelGboTrainer(nn::Sequential& net,
                                    std::vector<quant::Hookable*> encoded_layers,
-                                   GumbelConfig cfg)
-    : net_(net), layers_(std::move(encoded_layers)), cfg_(cfg) {
-  Rng rng(cfg_.base.seed);
-  states_.reserve(layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    states_.push_back(
-        std::make_unique<GumbelLayerState>(cfg_, rng.fork(i + 1)));
-    layers_[i]->set_noise_hook(states_[i].get());
-  }
-  for (nn::Param* p : net_.params()) {
-    saved_requires_grad_.push_back(p->requires_grad);
-    p->requires_grad = false;
-  }
-  net_.set_training(false);
-}
-
-GumbelGboTrainer::~GumbelGboTrainer() {
-  for (auto* layer : layers_) layer->set_noise_hook(nullptr);
-  auto params = net_.params();
-  for (std::size_t i = 0;
-       i < params.size() && i < saved_requires_grad_.size(); ++i)
-    params[i]->requires_grad = saved_requires_grad_[i];
-}
+                                   const GumbelConfig& cfg)
+    : LambdaTrainer(net, std::move(encoded_layers), cfg.base, "GumbelGBO",
+                    [&cfg](Rng rng) {
+                      return std::make_unique<GumbelLayerState>(cfg, rng);
+                    }),
+      cfg_(cfg) {}
 
 double GumbelGboTrainer::temperature_at(std::size_t epoch) const {
   const std::size_t total = cfg_.base.epochs;
@@ -183,74 +86,11 @@ double GumbelGboTrainer::temperature_at(std::size_t epoch) const {
          std::pow(cfg_.tau_end / cfg_.tau_start, frac);
 }
 
-std::vector<GboEpochStats> GumbelGboTrainer::train(const data::Dataset& train) {
-  std::vector<nn::Param*> lambdas;
-  lambdas.reserve(states_.size());
-  for (auto& st : states_) lambdas.push_back(&st->lambda());
-  nn::Adam opt(lambdas, cfg_.base.lr);
-
-  Rng loader_rng(cfg_.base.seed ^ 0xABCDEF);
-  data::DataLoader loader(train, cfg_.base.batch_size, /*shuffle=*/true,
-                          loader_rng);
-
-  std::vector<GboEpochStats> history;
-  for (std::size_t epoch = 0; epoch < cfg_.base.epochs; ++epoch) {
-    const double tau = temperature_at(epoch);
-    for (auto& st : states_) st->set_temperature(tau);
-
-    GboEpochStats stats;
-    std::size_t batches = 0, correct = 0, seen = 0;
-    loader.reset();
-    data::Batch batch;
-    while (loader.next(batch)) {
-      opt.zero_grad();
-      Tensor logits = net_.forward(batch.images);
-      Tensor grad;
-      const float ce =
-          nn::CrossEntropy::forward_backward(logits, batch.labels, grad);
-      net_.backward(grad);
-      for (auto& st : states_) st->accumulate_latency_grad();
-      opt.step();
-
-      stats.loss_ce += ce;
-      const auto preds = ops::argmax_rows(logits);
-      for (std::size_t i = 0; i < preds.size(); ++i)
-        if (preds[i] == batch.labels[i]) ++correct;
-      seen += preds.size();
-      ++batches;
-    }
-    stats.loss_ce /= static_cast<float>(batches);
-    stats.train_accuracy =
-        static_cast<float>(correct) / static_cast<float>(seen);
-    double total_expected = 0.0, latency_loss = 0.0;
-    for (auto& st : states_) {
-      const double e = st->expected_pulses();
-      total_expected += e;
-      latency_loss += cfg_.base.gamma * e;
-    }
-    stats.loss_latency = static_cast<float>(latency_loss);
-    stats.avg_expected_pulses =
-        total_expected / static_cast<double>(states_.size());
-    history.push_back(stats);
-    log_info("GumbelGBO epoch ", epoch + 1, "/", cfg_.base.epochs,
-             " tau=", tau, " ce=", stats.loss_ce,
-             " avg_pulses=", stats.avg_expected_pulses);
-  }
-  return history;
-}
-
-std::vector<std::size_t> GumbelGboTrainer::selected_pulses() const {
-  std::vector<std::size_t> out;
-  out.reserve(states_.size());
-  for (const auto& st : states_) out.push_back(st->selected_pulses());
-  return out;
-}
-
-double GumbelGboTrainer::avg_selected_pulses() const {
-  double acc = 0.0;
-  for (const auto& st : states_)
-    acc += static_cast<double>(st->selected_pulses());
-  return states_.empty() ? 0.0 : acc / static_cast<double>(states_.size());
+void GumbelGboTrainer::begin_epoch(std::size_t epoch) {
+  const double tau = temperature_at(epoch);
+  log_info("GumbelGBO epoch ", epoch + 1, "/", cfg_.base.epochs, " tau=", tau);
+  for (std::size_t i = 0; i < num_layers(); ++i)
+    layer_state(i).set_temperature(tau);
 }
 
 }  // namespace gbo::opt

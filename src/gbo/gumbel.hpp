@@ -29,7 +29,7 @@ struct GumbelConfig {
 };
 
 /// Per-layer Gumbel-softmax state; drop-in replacement for GboLayerState.
-class GumbelLayerState : public quant::MvmNoiseHook {
+class GumbelLayerState : public SchemeMixtureState {
  public:
   GumbelLayerState(const GumbelConfig& cfg, Rng rng);
 
@@ -40,63 +40,40 @@ class GumbelLayerState : public quant::MvmNoiseHook {
   void on_backward(const Tensor& grad_out) override;
 
   /// Latency-regularizer gradient, using the last forward's sampled y.
-  void accumulate_latency_grad();
+  void accumulate_latency_grad() override;
 
   void set_temperature(double tau);
   double temperature() const { return tau_; }
-
-  /// Softmax probabilities of λ alone (no Gumbel noise) — the selection
-  /// distribution at inference time.
-  std::vector<double> alpha() const;
-  double expected_pulses() const;
-  std::size_t selected_scheme() const;
-  std::size_t selected_pulses() const;
-
-  nn::Param& lambda() { return lambda_; }
-  const std::vector<std::size_t>& pulses() const { return pulses_; }
 
   /// The relaxed sample y of the most recent forward (tests).
   const std::vector<double>& last_sample() const { return cached_y_; }
 
  private:
-  GumbelConfig cfg_;
-  std::vector<std::size_t> pulses_;
-  nn::Param lambda_;
-  Rng rng_;
+  bool hard_;
   double tau_;
-  std::vector<Tensor> cached_noise_;
   std::vector<double> cached_y_;
 };
 
 /// λ-only training with Gumbel-softmax sampling and temperature annealing.
 /// Interface mirrors GboTrainer so benches can swap optimizers.
-class GumbelGboTrainer {
+class GumbelGboTrainer : public LambdaTrainer {
  public:
   GumbelGboTrainer(nn::Sequential& net,
                    std::vector<quant::Hookable*> encoded_layers,
-                   GumbelConfig cfg);
-  ~GumbelGboTrainer();
-
-  GumbelGboTrainer(const GumbelGboTrainer&) = delete;
-  GumbelGboTrainer& operator=(const GumbelGboTrainer&) = delete;
-
-  std::vector<GboEpochStats> train(const data::Dataset& train);
-
-  std::vector<std::size_t> selected_pulses() const;
-  double avg_selected_pulses() const;
+                   const GumbelConfig& cfg);
 
   /// Exponential annealing schedule τ(e) = τ0 · (τ1/τ0)^(e/(E-1)).
   double temperature_at(std::size_t epoch) const;
 
-  GumbelLayerState& layer_state(std::size_t i) { return *states_.at(i); }
-  std::size_t num_layers() const { return states_.size(); }
+  GumbelLayerState& layer_state(std::size_t i) {
+    return static_cast<GumbelLayerState&>(*states_.at(i));
+  }
+
+ protected:
+  void begin_epoch(std::size_t epoch) override;
 
  private:
-  nn::Sequential& net_;
-  std::vector<quant::Hookable*> layers_;
   GumbelConfig cfg_;
-  std::vector<std::unique_ptr<GumbelLayerState>> states_;
-  std::vector<bool> saved_requires_grad_;
 };
 
 }  // namespace gbo::opt

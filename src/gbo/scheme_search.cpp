@@ -1,9 +1,6 @@
 #include "gbo/scheme_search.hpp"
 
-#include "common/logging.hpp"
 #include "core/pipeline.hpp"
-#include "nn/loss.hpp"
-#include "tensor/ops.hpp"
 
 #include <cmath>
 #include <sstream>
@@ -53,198 +50,51 @@ float evaluate_selection(const nn::Sequential& net,
   return core::evaluate_noisy(net, ctrl, test, trials, batch_size);
 }
 
+namespace {
+
+std::vector<std::size_t> candidate_pulses(const MixedGboConfig& cfg) {
+  std::vector<std::size_t> out;
+  for (const SchemeCandidate& c : cfg.candidates) out.push_back(c.pulses());
+  return out;
+}
+
+std::vector<double> candidate_stddevs(const MixedGboConfig& cfg) {
+  std::vector<double> out;
+  for (const SchemeCandidate& c : cfg.candidates)
+    out.push_back(cfg.sigma * std::sqrt(c.variance_factor()));
+  return out;
+}
+
+}  // namespace
+
 MixedLayerState::MixedLayerState(const MixedGboConfig& cfg, Rng rng)
-    : cfg_(cfg), rng_(rng) {
-  if (cfg_.candidates.empty())
-    throw std::invalid_argument("MixedGbo: empty candidate set");
-  lambda_ = nn::Param("lambda", Tensor({cfg_.candidates.size()}));
-}
-
-std::vector<double> MixedLayerState::alpha() const {
-  const std::size_t m = cfg_.candidates.size();
-  std::vector<double> a(m);
-  double mx = lambda_.value[0];
-  for (std::size_t k = 1; k < m; ++k)
-    mx = std::max(mx, static_cast<double>(lambda_.value[k]));
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    a[k] = std::exp(static_cast<double>(lambda_.value[k]) - mx);
-    denom += a[k];
-  }
-  for (double& v : a) v /= denom;
-  return a;
-}
-
-void MixedLayerState::on_forward(Tensor& out) {
-  const std::size_t m = cfg_.candidates.size();
-  cached_alpha_ = alpha();
-  cached_noise_.assign(m, Tensor());
-  for (std::size_t k = 0; k < m; ++k) {
-    const double std =
-        cfg_.sigma * std::sqrt(cfg_.candidates[k].variance_factor());
-    Tensor eps(out.shape());
-    ops::fill_normal(eps, rng_, 0.0f, static_cast<float>(std));
-    ops::axpy_inplace(out, static_cast<float>(cached_alpha_[k]), eps);
-    cached_noise_[k] = std::move(eps);
-  }
-}
-
-void MixedLayerState::on_backward(const Tensor& grad_out) {
-  const std::size_t m = cfg_.candidates.size();
-  if (cached_noise_.size() != m)
-    throw std::logic_error("MixedLayerState: backward without forward");
-  std::vector<double> c(m, 0.0);
-  for (std::size_t k = 0; k < m; ++k) {
-    const float* g = grad_out.data();
-    const float* e = cached_noise_[k].data();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-      acc += static_cast<double>(g[i]) * e[i];
-    c[k] = acc;
-  }
-  double mean_c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) mean_c += cached_alpha_[k] * c[k];
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] +=
-        static_cast<float>(cached_alpha_[j] * (c[j] - mean_c));
-}
-
-void MixedLayerState::accumulate_latency_grad() {
-  const std::size_t m = cfg_.candidates.size();
-  const auto a = alpha();
-  double expected = 0.0;
-  for (std::size_t k = 0; k < m; ++k)
-    expected += a[k] * static_cast<double>(cfg_.candidates[k].pulses());
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] += static_cast<float>(
-        cfg_.gamma * a[j] *
-        (static_cast<double>(cfg_.candidates[j].pulses()) - expected));
-}
-
-double MixedLayerState::expected_pulses() const {
-  const auto a = alpha();
-  double expected = 0.0;
-  for (std::size_t k = 0; k < cfg_.candidates.size(); ++k)
-    expected += a[k] * static_cast<double>(cfg_.candidates[k].pulses());
-  return expected;
-}
-
-std::size_t MixedLayerState::selected_index() const {
-  std::size_t best = 0;
-  for (std::size_t k = 1; k < cfg_.candidates.size(); ++k)
-    if (lambda_.value[k] > lambda_.value[best]) best = k;
-  return best;
-}
-
-const SchemeCandidate& MixedLayerState::selected() const {
-  return cfg_.candidates[selected_index()];
-}
+    : SchemeMixtureState(candidate_pulses(cfg), candidate_stddevs(cfg),
+                         cfg.gamma, rng, "MixedLayerState"),
+      candidates_(cfg.candidates) {}
 
 MixedGboTrainer::MixedGboTrainer(nn::Sequential& net,
                                  std::vector<quant::Hookable*> encoded_layers,
-                                 MixedGboConfig cfg)
-    : net_(net), layers_(std::move(encoded_layers)), cfg_(std::move(cfg)) {
-  Rng rng(cfg_.seed);
-  states_.reserve(layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    states_.push_back(std::make_unique<MixedLayerState>(cfg_, rng.fork(i + 1)));
-    layers_[i]->set_noise_hook(states_[i].get());
-  }
-  for (nn::Param* p : net_.params()) {
-    saved_requires_grad_.push_back(p->requires_grad);
-    p->requires_grad = false;
-  }
-  net_.set_training(false);
-}
-
-MixedGboTrainer::~MixedGboTrainer() {
-  for (auto* layer : layers_) layer->set_noise_hook(nullptr);
-  auto params = net_.params();
-  for (std::size_t i = 0;
-       i < params.size() && i < saved_requires_grad_.size(); ++i)
-    params[i]->requires_grad = saved_requires_grad_[i];
-}
-
-std::vector<GboEpochStats> MixedGboTrainer::train(const data::Dataset& train) {
-  std::vector<nn::Param*> lambdas;
-  lambdas.reserve(states_.size());
-  for (auto& st : states_) lambdas.push_back(&st->lambda());
-  nn::Adam opt(lambdas, cfg_.lr);
-
-  Rng loader_rng(cfg_.seed ^ 0xABCDEF);
-  data::DataLoader loader(train, cfg_.batch_size, /*shuffle=*/true,
-                          loader_rng);
-
-  std::vector<GboEpochStats> history;
-  for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    GboEpochStats stats;
-    std::size_t batches = 0, correct = 0, seen = 0;
-    loader.reset();
-    data::Batch batch;
-    while (loader.next(batch)) {
-      opt.zero_grad();
-      Tensor logits = net_.forward(batch.images);
-      Tensor grad;
-      const float ce =
-          nn::CrossEntropy::forward_backward(logits, batch.labels, grad);
-      net_.backward(grad);
-      for (auto& st : states_) st->accumulate_latency_grad();
-      opt.step();
-
-      stats.loss_ce += ce;
-      const auto preds = ops::argmax_rows(logits);
-      for (std::size_t i = 0; i < preds.size(); ++i)
-        if (preds[i] == batch.labels[i]) ++correct;
-      seen += preds.size();
-      ++batches;
-    }
-    stats.loss_ce /= static_cast<float>(batches);
-    stats.train_accuracy =
-        static_cast<float>(correct) / static_cast<float>(seen);
-    double total_expected = 0.0, latency_loss = 0.0;
-    for (auto& st : states_) {
-      const double e = st->expected_pulses();
-      total_expected += e;
-      latency_loss += cfg_.gamma * e;
-    }
-    stats.loss_latency = static_cast<float>(latency_loss);
-    stats.avg_expected_pulses =
-        total_expected / static_cast<double>(states_.size());
-    history.push_back(stats);
-    log_info("MixedGBO epoch ", epoch + 1, "/", cfg_.epochs,
-             " ce=", stats.loss_ce,
-             " avg_pulses=", stats.avg_expected_pulses);
-  }
-  return history;
-}
+                                 const MixedGboConfig& cfg)
+    : LambdaTrainer(net, std::move(encoded_layers), cfg, "MixedGBO",
+                    [&cfg](Rng rng) {
+                      return std::make_unique<MixedLayerState>(cfg, rng);
+                    }) {}
 
 std::vector<SchemeCandidate> MixedGboTrainer::selected() const {
   std::vector<SchemeCandidate> out;
   out.reserve(states_.size());
-  for (const auto& st : states_) out.push_back(st->selected());
-  return out;
-}
-
-std::vector<std::size_t> MixedGboTrainer::selected_pulses() const {
-  std::vector<std::size_t> out;
-  out.reserve(states_.size());
-  for (const auto& st : states_) out.push_back(st->selected().pulses());
-  return out;
-}
-
-double MixedGboTrainer::avg_selected_pulses() const {
-  double acc = 0.0;
   for (const auto& st : states_)
-    acc += static_cast<double>(st->selected().pulses());
-  return states_.empty() ? 0.0 : acc / static_cast<double>(states_.size());
+    out.push_back(static_cast<const MixedLayerState&>(*st).selected());
+  return out;
 }
 
 std::string MixedGboTrainer::selection_string() const {
+  const std::vector<SchemeCandidate> sel = selected();
   std::ostringstream os;
   os << "[";
-  for (std::size_t i = 0; i < states_.size(); ++i) {
+  for (std::size_t i = 0; i < sel.size(); ++i) {
     if (i) os << ", ";
-    os << states_[i]->selected().name();
+    os << sel[i].name();
   }
   os << "]";
   return os.str();

@@ -20,14 +20,9 @@
 
 #include "common/rng.hpp"
 #include "crossbar/crossbar_layers.hpp"
-#include "data/dataloader.hpp"
 #include "encoding/pulse_train.hpp"
-#include "gbo/gbo.hpp"
-#include "nn/optim.hpp"
-#include "nn/sequential.hpp"
-#include "quant/quant_layers.hpp"
+#include "gbo/mixture.hpp"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,73 +57,44 @@ float evaluate_selection(const nn::Sequential& net,
                          const data::Dataset& test, std::size_t trials = 3,
                          std::size_t batch_size = 64);
 
-struct MixedGboConfig {
+struct MixedGboConfig : LambdaLoopConfig {
   std::vector<SchemeCandidate> candidates;
   double sigma = 1.0;
-  double gamma = 1e-3;
-  std::size_t epochs = 10;
-  float lr = 1e-4f;
-  std::size_t batch_size = 32;
-  std::uint64_t seed = 21;
 };
 
 /// Per-layer λ logits over mixed candidates; Eq. 5 noise mixture with
-/// per-candidate variance factors.
-class MixedLayerState : public quant::MvmNoiseHook {
+/// per-candidate variance factors (candidate k's noise has std
+/// σ·√variance_factor_k).
+class MixedLayerState : public SchemeMixtureState {
  public:
   MixedLayerState(const MixedGboConfig& cfg, Rng rng);
 
-  void on_forward(Tensor& out) override;
-  void on_backward(const Tensor& grad_out) override;
-  void accumulate_latency_grad();
-
-  std::vector<double> alpha() const;
-  double expected_pulses() const;
-  std::size_t selected_index() const;
-  const SchemeCandidate& selected() const;
-
-  nn::Param& lambda() { return lambda_; }
+  const SchemeCandidate& selected() const {
+    return candidates_[selected_scheme()];
+  }
   const std::vector<SchemeCandidate>& candidates() const {
-    return cfg_.candidates;
+    return candidates_;
   }
 
  private:
-  MixedGboConfig cfg_;
-  nn::Param lambda_;
-  Rng rng_;
-  std::vector<Tensor> cached_noise_;
-  std::vector<double> cached_alpha_;
+  std::vector<SchemeCandidate> candidates_;
 };
 
 /// λ-only trainer over the mixed space; mirrors GboTrainer.
-class MixedGboTrainer {
+class MixedGboTrainer : public LambdaTrainer {
  public:
   MixedGboTrainer(nn::Sequential& net,
                   std::vector<quant::Hookable*> encoded_layers,
-                  MixedGboConfig cfg);
-  ~MixedGboTrainer();
-
-  MixedGboTrainer(const MixedGboTrainer&) = delete;
-  MixedGboTrainer& operator=(const MixedGboTrainer&) = delete;
-
-  std::vector<GboEpochStats> train(const data::Dataset& train);
+                  const MixedGboConfig& cfg);
 
   /// Per-layer selections after training.
   std::vector<SchemeCandidate> selected() const;
-  std::vector<std::size_t> selected_pulses() const;
-  double avg_selected_pulses() const;
   /// Human-readable per-layer selection like "[TC-8, BS-4, TC-16]".
   std::string selection_string() const;
 
-  MixedLayerState& layer_state(std::size_t i) { return *states_.at(i); }
-  std::size_t num_layers() const { return states_.size(); }
-
- private:
-  nn::Sequential& net_;
-  std::vector<quant::Hookable*> layers_;
-  MixedGboConfig cfg_;
-  std::vector<std::unique_ptr<MixedLayerState>> states_;
-  std::vector<bool> saved_requires_grad_;
+  MixedLayerState& layer_state(std::size_t i) {
+    return static_cast<MixedLayerState&>(*states_.at(i));
+  }
 };
 
 }  // namespace gbo::opt

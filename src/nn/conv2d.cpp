@@ -205,10 +205,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                                 grad_out.shape_str());
   Tensor grad_rows = nchw_to_rows(grad_out);  // [N*oh*ow, out_c]
 
-  // dW = grad_rows^T @ cols -> [out_c, patch_len]
-  Tensor grad_w = ops::matmul_at(grad_rows, cached_cols_);
-  on_weight_grad(grad_w);
-  if (weight_.requires_grad) ops::add_inplace(weight_.grad, grad_w);
+  // dW = grad_rows^T @ cols -> [out_c, patch_len]; a frozen weight (GBO's
+  // λ-only phase) skips the GEMM and the subclass hook entirely.
+  if (weight_.requires_grad) {
+    Tensor grad_w = ops::matmul_at(grad_rows, cached_cols_);
+    on_weight_grad(grad_w);
+    ops::add_inplace(weight_.grad, grad_w);
+  }
 
   if (has_bias_ && bias_.requires_grad) {
     float* gb = bias_.grad.data();

@@ -77,10 +77,12 @@ Tensor Linear::backward(const Tensor& grad_out) {
   if (grad_out.ndim() != 2 || grad_out.dim(0) != batch || grad_out.dim(1) != out_)
     throw std::invalid_argument("Linear::backward: bad grad shape");
 
-  // dW = grad_out^T @ x  -> [out, in]
-  Tensor grad_w = ops::matmul_at(grad_out, cached_input_);
-  on_weight_grad(grad_w);
-  if (weight_.requires_grad) ops::add_inplace(weight_.grad, grad_w);
+  // dW = grad_out^T @ x  -> [out, in]; skipped for a frozen weight.
+  if (weight_.requires_grad) {
+    Tensor grad_w = ops::matmul_at(grad_out, cached_input_);
+    on_weight_grad(grad_w);
+    ops::add_inplace(weight_.grad, grad_w);
+  }
 
   if (has_bias_ && bias_.requires_grad) {
     float* gb = bias_.grad.data();

@@ -35,7 +35,8 @@ class Linear : public Module {
   /// Hook for subclasses (quantized layer) to substitute the effective
   /// weight used in forward/backward. Default: the raw weight.
   virtual const Tensor& effective_weight();
-  /// Hook to transform the raw weight gradient (e.g. STE clipping).
+  /// Hook to transform the raw weight gradient (e.g. STE clipping); not
+  /// called when the weight is frozen (!requires_grad).
   virtual void on_weight_grad(Tensor& /*grad_w*/) {}
 
   /// Shared const forward body over a raw [out, in] weight: y = x wᵀ

@@ -1,5 +1,7 @@
 #include "quant/act_quant.hpp"
 
+#include "common/thread_pool.hpp"
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -33,6 +35,9 @@ Tensor quantize(const Tensor& x, std::size_t levels) {
 }
 
 namespace {
+
+// Elements per parallel_for block of QuantTanh::forward.
+constexpr std::size_t kForwardGrain = 16384;
 
 /// Order-preserving map of floats onto unsigned keys (-inf < ... < -0 <
 /// +0 < ... < +inf; NaNs fall outside [key(-inf), key(+inf)]).
@@ -86,16 +91,29 @@ QuantTanh::QuantTanh(std::size_t levels) : levels_(levels) {
   }
 }
 
+bool QuantTanh::quantize_levels(const float* x, std::size_t n,
+                                float* q) const {
+  const float steps = static_cast<float>(levels_ - 1);
+  return thresholds_.size() == 8
+             ? quantize_by_thresholds<8>(x, n, thresholds_, steps, q)
+             : quantize_by_thresholds<0>(x, n, thresholds_, steps, q);
+}
+
 Tensor QuantTanh::forward(const Tensor& x) {
   Tensor out(x.shape());
-  cached_tanh_ = Tensor(x.shape());
+  if (cached_tanh_.shape() != x.shape()) cached_tanh_ = Tensor(x.shape());
   const float* p = x.data();
   float* t = cached_tanh_.data();
   float* q = out.data();
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    t[i] = std::tanh(p[i]);
-    q[i] = quantize_value(t[i], levels_);
-  }
+  // The levels come from infer's threshold kernel; tanh is evaluated only
+  // for the STE cache (and for NaN inputs, which take the reference path).
+  parallel_for(0, x.numel(), kForwardGrain, [&](std::size_t lo, std::size_t hi) {
+    const bool nan = quantize_levels(p + lo, hi - lo, q + lo);
+    for (std::size_t i = lo; i < hi; ++i) t[i] = std::tanh(p[i]);
+    if (nan)
+      for (std::size_t i = lo; i < hi; ++i)
+        if (p[i] != p[i]) q[i] = quantize_value(t[i], levels_);
+  });
   return out;
 }
 
@@ -104,12 +122,7 @@ Tensor QuantTanh::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   const float* p = x.data();
   float* q = out.data();
   const std::size_t n = x.numel();
-  const float steps = static_cast<float>(levels_ - 1);
-  const bool nan =
-      thresholds_.size() == 8
-          ? quantize_by_thresholds<8>(p, n, thresholds_, steps, q)
-          : quantize_by_thresholds<0>(p, n, thresholds_, steps, q);
-  if (nan)
+  if (quantize_levels(p, n, q))
     for (std::size_t i = 0; i < n; ++i)
       if (p[i] != p[i]) q[i] = quantize_value(std::tanh(p[i]), levels_);
   return out;

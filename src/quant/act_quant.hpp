@@ -28,9 +28,11 @@ std::size_t level_index(float x, std::size_t levels);
 /// infer() never evaluates tanh: the level of quantize_value(tanh(x)) is a
 /// non-decreasing step function of x, so it is the count of `levels - 1`
 /// precomputed input thresholds that x reaches, found once at construction
-/// by bisection over the ordered float line. Bitwise equal to forward()'s
+/// by bisection over the ordered float line. Bitwise equal to
 /// quantize_value(tanh(x)) for every float input (tests/test_quant.cpp
 /// checks all 2^32 bit patterns); NaN inputs take the reference path.
+/// forward() takes its levels from the same kernel, in fixed pool blocks,
+/// and evaluates tanh only for the STE cache of backward().
 class QuantTanh : public gbo::nn::Module {
  public:
   explicit QuantTanh(std::size_t levels = 9);
@@ -43,6 +45,10 @@ class QuantTanh : public gbo::nn::Module {
   std::size_t levels() const { return levels_; }
 
  private:
+  /// q[i] = quantize_value(tanh(x[i])) for every non-NaN x[i], via the
+  /// thresholds; returns true if any x[i] is NaN (left for the caller).
+  bool quantize_levels(const float* x, std::size_t n, float* q) const;
+
   std::size_t levels_;
   // thresholds_[l - 1]: the least float whose quantized tanh reaches level l.
   std::vector<float> thresholds_;

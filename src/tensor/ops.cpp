@@ -141,9 +141,7 @@ void fill_uniform(Tensor& a, Rng& rng, float lo, float hi) {
 }
 
 void fill_normal(Tensor& a, Rng& rng, float mean, float stddev) {
-  float* p = a.data();
-  for (std::size_t i = 0; i < a.numel(); ++i)
-    p[i] = static_cast<float>(rng.normal(mean, stddev));
+  rng.fill_normal(a.data(), a.numel(), mean, stddev);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

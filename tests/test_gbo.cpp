@@ -1,6 +1,7 @@
 // Unit and behavioural tests of the GBO optimizer (paper §III-A).
 #include "gbo/gbo.hpp"
 
+#include "common/thread_pool.hpp"
 #include "gbo/pla_schedule.hpp"
 #include "models/mlp.hpp"
 #include "nn/loss.hpp"
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace gbo::opt {
@@ -115,6 +117,124 @@ TEST(GboLayerState, ExpectedPulsesUniformInit) {
   const double mean =
       std::accumulate(pulses.begin(), pulses.end(), 0.0) / pulses.size();
   EXPECT_NEAR(st.expected_pulses(), mean, 1e-9);
+}
+
+struct ThreadGuard {
+  std::size_t saved = ThreadPool::instance().num_threads();
+  ~ThreadGuard() { ThreadPool::instance().set_num_threads(saved); }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+// Serial reference of the Eq. 5/7 hook, the bitwise oracle for the pooled
+// GboLayerState: fresh ε_k per forward drawn by sequential normal() calls,
+// a serial axpy per scheme, serial dot products.
+struct SerialGboOracle {
+  SerialGboOracle(const GboConfig& c, Rng r, std::vector<float> l)
+      : cfg(c), rng(r), lambda(std::move(l)) {}
+
+  GboConfig cfg;
+  std::vector<std::size_t> pulses = cfg.pulse_lengths();
+  Rng rng;
+  std::vector<float> lambda;
+  std::vector<float> grad = std::vector<float>(pulses.size(), 0.0f);
+  std::vector<Tensor> cached_noise;
+  std::vector<double> cached_alpha;
+
+  std::vector<double> alpha() const {
+    const std::size_t m = pulses.size();
+    std::vector<double> a(m);
+    double mx = lambda[0];
+    for (std::size_t k = 1; k < m; ++k)
+      mx = std::max(mx, static_cast<double>(lambda[k]));
+    double denom = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      a[k] = std::exp(static_cast<double>(lambda[k]) - mx);
+      denom += a[k];
+    }
+    for (double& v : a) v /= denom;
+    return a;
+  }
+
+  void on_forward(Tensor& out) {
+    const std::size_t m = pulses.size();
+    cached_alpha = alpha();
+    cached_noise.assign(m, Tensor());
+    for (std::size_t k = 0; k < m; ++k) {
+      const double std = cfg.sigma / std::sqrt(static_cast<double>(pulses[k]));
+      Tensor eps(out.shape());
+      float* e = eps.data();
+      for (std::size_t i = 0; i < eps.numel(); ++i)
+        e[i] = static_cast<float>(rng.normal(0.0f, static_cast<float>(std)));
+      const float s = static_cast<float>(cached_alpha[k]);
+      float* p = out.data();
+      for (std::size_t i = 0; i < out.numel(); ++i) p[i] += s * e[i];
+      cached_noise[k] = std::move(eps);
+    }
+  }
+
+  void on_backward(const Tensor& grad_out) {
+    const std::size_t m = pulses.size();
+    std::vector<double> c(m, 0.0);
+    for (std::size_t k = 0; k < m; ++k) {
+      const float* g = grad_out.data();
+      const float* e = cached_noise[k].data();
+      double acc = 0.0;
+      for (std::size_t i = 0; i < grad_out.numel(); ++i)
+        acc += static_cast<double>(g[i]) * e[i];
+      c[k] = acc;
+    }
+    double mean_c = 0.0;
+    for (std::size_t k = 0; k < m; ++k) mean_c += cached_alpha[k] * c[k];
+    for (std::size_t j = 0; j < m; ++j)
+      grad[j] += static_cast<float>(cached_alpha[j] * (c[j] - mean_c));
+  }
+};
+
+Tensor random_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
+  Tensor t(std::move(shape));
+  Rng rng(seed);
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    t[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+  return t;
+}
+
+TEST(GboLayerState, ForwardAndBackwardBitwiseEqualSerialOracle) {
+  ThreadGuard guard;
+  // Shapes straddle the mixture and fill_normal block grains (odd sizes,
+  // an odd tail that leaves a cached normal) and change mid-run, so the
+  // reused ε buffers are both kept and reallocated.
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 5001}, {3, 5001}, {7, 11}, {2, 8193}, {2, 8193}};
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool::instance().set_num_threads(width);
+    GboConfig cfg = small_cfg();
+    cfg.sigma = 0.7;
+    GboLayerState st(cfg, Rng(41));
+    for (std::size_t k = 0; k < 7; ++k)
+      st.lambda().value[k] = 0.3f * static_cast<float>(k) - 0.8f;
+    const Tensor& l = st.lambda().value;
+    SerialGboOracle ref(cfg, Rng(41),
+                        std::vector<float>(l.data(), l.data() + l.numel()));
+    for (std::size_t step = 0; step < shapes.size(); ++step) {
+      SCOPED_TRACE(::testing::Message() << "width " << width << " step "
+                                        << step);
+      Tensor out = random_tensor(shapes[step], 100 + step);
+      Tensor want = out;
+      st.on_forward(out);
+      ref.on_forward(want);
+      ASSERT_TRUE(same_bits(out, want));
+      const Tensor g = random_tensor(shapes[step], 200 + step);
+      st.on_backward(g);
+      ref.on_backward(g);
+      ASSERT_EQ(std::memcmp(st.lambda().grad.data(), ref.grad.data(),
+                            7 * sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(PulseSchedule, Formatting) {
@@ -247,6 +367,67 @@ TEST(GboTrainer, GammaTradesLatencyForAccuracy) {
   const double cheap = run(5.0);
   const double rich = run(0.0);
   EXPECT_LE(cheap, rich);
+}
+
+TEST(GboTrainer, EmptyDatasetReturnsZeroedStats) {
+  TinySetup setup = make_tiny();
+  GboTrainer trainer(*setup.model.net, setup.model.encoded, small_cfg());
+  data::Dataset empty;
+  empty.images = Tensor({0, 16});
+  const auto history = trainer.train(empty);
+  ASSERT_EQ(history.size(), small_cfg().epochs);
+  for (const GboEpochStats& s : history) {
+    EXPECT_EQ(s.loss_ce, 0.0f);
+    EXPECT_EQ(s.train_accuracy, 0.0f);
+    EXPECT_EQ(s.loss_latency, 0.0f);
+    EXPECT_EQ(s.avg_expected_pulses, 0.0);
+  }
+}
+
+TEST(GboTrainer, ZeroBatchSizeThrows) {
+  TinySetup setup = make_tiny();
+  GboConfig cfg = small_cfg();
+  cfg.batch_size = 0;
+  EXPECT_THROW(GboTrainer(*setup.model.net, setup.model.encoded, cfg),
+               std::invalid_argument);
+  // The failed construction left no hook behind.
+  for (auto* layer : setup.model.encoded)
+    EXPECT_EQ(layer->noise_hook(), nullptr);
+}
+
+// λ after N steps on a model wide enough that every pooled stage (bulk
+// normals, mixture add, QuantTanh forward, per-scheme dot products) splits
+// into several blocks must not depend on the pool width.
+TEST(GboTrainer, LambdaBitwiseEqualAtPoolWidthsOneAndFour) {
+  ThreadGuard guard;
+  const auto run = [](std::size_t width) {
+    ThreadPool::instance().set_num_threads(width);
+    models::MlpConfig mcfg;
+    mcfg.in_features = 16;
+    mcfg.hidden = {64, 1024, 1024};
+    mcfg.num_classes = 4;
+    models::Mlp model = build_mlp(mcfg);
+    TinySetup tiny = make_tiny();
+    GboConfig cfg = small_cfg();
+    cfg.epochs = 1;
+    cfg.batch_size = 32;  // 4 steps over 128 samples
+    cfg.lr = 0.05f;
+    cfg.gamma = 1e-3;
+    GboTrainer trainer(*model.net, model.encoded, cfg);
+    trainer.train(tiny.train);
+    std::vector<float> lambdas;
+    for (std::size_t i = 0; i < trainer.num_layers(); ++i) {
+      const Tensor& l = trainer.layer_state(i).lambda().value;
+      lambdas.insert(lambdas.end(), l.data(), l.data() + l.numel());
+    }
+    return lambdas;
+  };
+  const std::vector<float> one = run(1), four = run(4);
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(std::memcmp(one.data(), four.data(), one.size() * sizeof(float)),
+            0);
+  // The steps moved λ off its uniform start.
+  EXPECT_NE(one[0], 0.0f);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit and behavioural tests of the Gumbel-softmax GBO variant (gbo/gumbel).
 #include "gbo/gumbel.hpp"
 
+#include "common/thread_pool.hpp"
 #include "models/mlp.hpp"
 #include "nn/loss.hpp"
 #include "tensor/ops.hpp"
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace gbo::opt {
@@ -280,6 +282,68 @@ TEST(GumbelGboTrainer, HighNoiseSelectsLongSchedules) {
   GumbelGboTrainer trainer(*setup.model.net, setup.model.encoded, cfg);
   trainer.train(setup.train);
   EXPECT_GE(trainer.avg_selected_pulses(), 10.0);
+}
+
+TEST(GumbelGboTrainer, EmptyDatasetReturnsZeroedStats) {
+  TinySetup setup = make_tiny();
+  GumbelGboTrainer trainer(*setup.model.net, setup.model.encoded, small_cfg());
+  data::Dataset empty;
+  empty.images = Tensor({0, 16});
+  const auto history = trainer.train(empty);
+  ASSERT_EQ(history.size(), small_cfg().base.epochs);
+  for (const GboEpochStats& s : history) {
+    EXPECT_EQ(s.loss_ce, 0.0f);
+    EXPECT_EQ(s.train_accuracy, 0.0f);
+  }
+}
+
+TEST(GumbelGboTrainer, ZeroBatchSizeThrows) {
+  TinySetup setup = make_tiny();
+  GumbelConfig cfg = small_cfg();
+  cfg.base.batch_size = 0;
+  EXPECT_THROW(GumbelGboTrainer(*setup.model.net, setup.model.encoded, cfg),
+               std::invalid_argument);
+}
+
+struct ThreadGuard {
+  std::size_t saved = ThreadPool::instance().num_threads();
+  ~ThreadGuard() { ThreadPool::instance().set_num_threads(saved); }
+};
+
+// λ after N steps, hard (one-scheme add) and soft (pooled mixture add), on
+// layers wide enough to split every pooled stage into several blocks.
+TEST(GumbelGboTrainer, LambdaBitwiseEqualAtPoolWidthsOneAndFour) {
+  ThreadGuard guard;
+  TinySetup tiny = make_tiny();
+  for (bool hard : {true, false}) {
+    const auto run = [&](std::size_t width) {
+      ThreadPool::instance().set_num_threads(width);
+      models::MlpConfig mcfg;
+      mcfg.in_features = 16;
+      mcfg.hidden = {64, 1024, 1024};
+      mcfg.num_classes = 4;
+      models::Mlp model = build_mlp(mcfg);
+      GumbelConfig cfg = small_cfg();
+      cfg.hard = hard;
+      cfg.base.batch_size = 32;
+      cfg.base.lr = 0.05f;
+      cfg.base.gamma = 1e-3;
+      GumbelGboTrainer trainer(*model.net, model.encoded, cfg);
+      trainer.train(tiny.train);
+      std::vector<float> lambdas;
+      for (std::size_t i = 0; i < trainer.num_layers(); ++i) {
+        const Tensor& l = trainer.layer_state(i).lambda().value;
+        lambdas.insert(lambdas.end(), l.data(), l.data() + l.numel());
+      }
+      return lambdas;
+    };
+    const std::vector<float> one = run(1), four = run(4);
+    ASSERT_EQ(one.size(), four.size());
+    EXPECT_EQ(
+        std::memcmp(one.data(), four.data(), one.size() * sizeof(float)), 0)
+        << "hard " << hard;
+    EXPECT_NE(one[0], 0.0f);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 
 namespace gbo::nn {
 namespace {
@@ -185,6 +186,55 @@ TEST(Conv2d, DirectConvHandlesZeroPadding) {
   Tensor y_inf = conv.infer(x, ctx);
   EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
                            y_inf.numel() * sizeof(float)));
+}
+
+/// Forward + backward over a trainable and a frozen (!requires_grad) copy
+/// of one layer: the frozen run skips dW — weight.grad keeps its sentinel —
+/// and returns dX bitwise equal to the trainable run.
+template <typename Make>
+void expect_frozen_weight_skips_dw(const Make& make, const Tensor& x) {
+  auto trainable = make();
+  auto frozen = make();
+  frozen->weight().requires_grad = false;
+  frozen->weight().grad.fill(7.0f);
+  const Tensor y = trainable->forward(x);
+  (void)frozen->forward(x);
+  Tensor g(y.shape());
+  Rng rng(77);
+  ops::fill_normal(g, rng, 0.0f, 1.0f);
+  const Tensor dx = trainable->backward(g);
+  const Tensor dx_frozen = frozen->backward(g);
+  ASSERT_EQ(dx.shape(), dx_frozen.shape());
+  EXPECT_EQ(std::memcmp(dx.data(), dx_frozen.data(), dx.numel() * sizeof(float)),
+            0);
+  const Tensor& gw = frozen->weight().grad;
+  for (std::size_t i = 0; i < gw.numel(); ++i) ASSERT_EQ(gw[i], 7.0f) << i;
+  EXPECT_GT(ops::max_abs(trainable->weight().grad), 0.0f);
+}
+
+TEST(Linear, FrozenWeightSkipsWeightGradient) {
+  Rng xr(5);
+  Tensor x({6, 40});
+  ops::fill_normal(x, xr, 0.0f, 1.0f);
+  expect_frozen_weight_skips_dw(
+      [] {
+        Rng rng(4);
+        return std::make_unique<Linear>(40, 24, /*bias=*/true, rng);
+      },
+      x);
+}
+
+TEST(Conv2d, FrozenWeightSkipsWeightGradient) {
+  const ConvGeom g{.in_c = 3, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1};
+  Rng xr(6);
+  Tensor x({2, 3, 8, 8});
+  ops::fill_normal(x, xr, 0.0f, 1.0f);
+  expect_frozen_weight_skips_dw(
+      [&g] {
+        Rng rng(4);
+        return std::make_unique<Conv2d>(5, g, /*bias=*/true, rng);
+      },
+      x);
 }
 
 TEST(BatchNorm2d, NormalizesPerChannel) {

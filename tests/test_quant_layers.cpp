@@ -1,12 +1,18 @@
 #include "quant/quant_layers.hpp"
 
+#include "common/thread_pool.hpp"
 #include "crossbar/crossbar_layers.hpp"
+#include "quant/act_quant.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 namespace gbo::quant {
 namespace {
@@ -32,6 +38,103 @@ class SpyHook : public MvmNoiseHook {
   std::size_t last_input_numel = 0, last_grad_numel = 0;
   float add_offset = 0.0f;
 };
+
+/// See tests/test_nn_layers.cpp: the frozen quant layer skips dW (and the
+/// STE hook on it) and returns dX — scale epilogue included — bitwise
+/// equal to the trainable run. A noise hook that sees the gradient is
+/// attached, as during GBO.
+template <typename Make>
+void expect_frozen_weight_skips_dw(const Make& make, const Tensor& x) {
+  auto trainable = make();
+  auto frozen = make();
+  SpyHook spy_t, spy_f;
+  trainable->set_noise_hook(&spy_t);
+  frozen->set_noise_hook(&spy_f);
+  frozen->weight().requires_grad = false;
+  frozen->weight().grad.fill(7.0f);
+  const Tensor y = trainable->forward(x);
+  (void)frozen->forward(x);
+  Tensor g(y.shape());
+  Rng rng(78);
+  ops::fill_normal(g, rng, 0.0f, 1.0f);
+  const Tensor dx = trainable->backward(g);
+  const Tensor dx_frozen = frozen->backward(g);
+  ASSERT_EQ(dx.shape(), dx_frozen.shape());
+  EXPECT_EQ(std::memcmp(dx.data(), dx_frozen.data(), dx.numel() * sizeof(float)),
+            0);
+  const Tensor& gw = frozen->weight().grad;
+  for (std::size_t i = 0; i < gw.numel(); ++i) ASSERT_EQ(gw[i], 7.0f) << i;
+  EXPECT_GT(ops::max_abs(trainable->weight().grad), 0.0f);
+  EXPECT_EQ(spy_f.backward_calls, 1);
+}
+
+TEST(QuantLinear, FrozenWeightSkipsWeightGradient) {
+  Rng xr(5);
+  Tensor x({6, 40});
+  ops::fill_normal(x, xr, 0.0f, 1.0f);
+  expect_frozen_weight_skips_dw(
+      [] {
+        Rng rng(4);
+        return std::make_unique<QuantLinear>(40, 24, rng, /*scaled=*/true);
+      },
+      x);
+}
+
+TEST(QuantConv2d, FrozenWeightSkipsWeightGradient) {
+  const ConvGeom g{.in_c = 3, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1};
+  Rng xr(6);
+  Tensor x({2, 3, 8, 8});
+  ops::fill_normal(x, xr, 0.0f, 1.0f);
+  expect_frozen_weight_skips_dw(
+      [&g] {
+        Rng rng(4);
+        return std::make_unique<QuantConv2d>(5, g, rng, /*scaled=*/true);
+      },
+      x);
+}
+
+/// Bits of f, with every NaN folded onto one pattern.
+std::uint32_t canonical_bits(float f) {
+  return f != f ? 0x7fc00000u : std::bit_cast<std::uint32_t>(f);
+}
+
+// The pooled QuantTanh::forward takes its levels from infer's threshold
+// kernel: it must equal the reference quantize_value(tanh(x)) and infer
+// bitwise, and its STE backward g·(1 − tanh²x) must be unchanged, at pool
+// widths 1 and 4, with NaN, ±inf and −0 placed in different blocks.
+TEST(QuantTanh, ForwardEqualsInferAndBackwardUnchanged) {
+  const std::size_t saved = ThreadPool::instance().num_threads();
+  Rng rng(47);
+  Tensor x({3, 20001});
+  ops::fill_normal(x, rng, 0.0f, 1.5f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), inf,
+                            -inf, -0.0f, 0.0f};
+  for (std::size_t j = 0; j < 5; ++j) {
+    x[j] = specials[j];
+    x[17000 + 9001 * j] = specials[j];
+    x[x.numel() - 1 - j] = specials[j];
+  }
+  Tensor g(x.shape());
+  ops::fill_normal(g, rng, 0.0f, 1.0f);
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool::instance().set_num_threads(width);
+    QuantTanh act(9);
+    nn::EvalContext ctx;
+    const Tensor y = act.forward(x);
+    const Tensor yi = act.infer(x, ctx);
+    const Tensor gx = act.backward(g);
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      const float t = std::tanh(x[i]);
+      ASSERT_EQ(canonical_bits(y[i]), canonical_bits(quantize_value(t, 9)))
+          << "width " << width << " x=" << x[i];
+      ASSERT_EQ(canonical_bits(y[i]), canonical_bits(yi[i])) << x[i];
+      ASSERT_EQ(canonical_bits(gx[i]), canonical_bits(g[i] * (1.0f - t * t)))
+          << "width " << width << " x=" << x[i];
+    }
+  }
+  ThreadPool::instance().set_num_threads(saved);
+}
 
 TEST(QuantLinear, ForwardUsesBinarizedWeight) {
   Rng rng(1);

@@ -1,8 +1,12 @@
 #include "common/rng.hpp"
 
+#include "common/thread_pool.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace gbo {
 namespace {
@@ -111,6 +115,47 @@ TEST(Rng, ForkDoesNotAdvanceParent) {
   Rng p1(5), p2(5);
   (void)p1.fork(9);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(p1(), p2());
+}
+
+struct ThreadGuard {
+  std::size_t saved = ThreadPool::instance().num_threads();
+  ~ThreadGuard() { ThreadPool::instance().set_num_threads(saved); }
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// fill_normal's contract: bitwise the values and the end state of n
+// sequential normal(mean, stddev) calls, at any pool width. Sizes straddle
+// the fixed block grain (in values: two per Box-Muller pair) and the odd
+// tail; `cached` starts the fill with a pending second normal.
+TEST(Rng, FillNormalBitwiseEqualsSequentialNormals) {
+  ThreadGuard guard;
+  const std::size_t g = 2 * Rng::kFillNormalGrain;
+  const std::size_t sizes[] = {0, 1, 2, 3, g - 2, g - 1, g, g + 1, g + 2,
+                               100000, 100001};
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool::instance().set_num_threads(width);
+    for (bool cached : {false, true}) {
+      for (std::size_t n : sizes) {
+        SCOPED_TRACE(::testing::Message() << "width " << width << " n " << n
+                                          << " cached " << cached);
+        Rng bulk(1234 + n), seq(1234 + n);
+        if (cached) {
+          ASSERT_TRUE(same_bits(bulk.normal(), seq.normal()));
+        }
+        std::vector<float> got(n), want(n);
+        bulk.fill_normal(got.data(), n, 0.25, 1.5);
+        for (float& v : want) v = static_cast<float>(seq.normal(0.25, 1.5));
+        ASSERT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                          n * sizeof(float)) == 0);
+        // The end state matches too: the cached second normal first, then
+        // the raw stream.
+        EXPECT_TRUE(same_bits(bulk.normal(), seq.normal()));
+        EXPECT_TRUE(same_bits(bulk.normal(), seq.normal()));
+        EXPECT_EQ(bulk(), seq());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests of the joint scheme × pulse-length search (gbo/scheme_search).
 #include "gbo/scheme_search.hpp"
 
+#include "common/thread_pool.hpp"
 #include "encoding/noise_analysis.hpp"
 #include "models/mlp.hpp"
 #include "nn/loss.hpp"
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace gbo::opt {
 namespace {
@@ -131,7 +133,7 @@ TEST(MixedLayerState, LatencyGradFavorsShortCandidates) {
 TEST(MixedLayerState, SelectionTracksLambda) {
   MixedLayerState st(small_cfg(), Rng(7));
   st.lambda().value[8] = 3.0f;  // BS-4
-  EXPECT_EQ(st.selected_index(), 8u);
+  EXPECT_EQ(st.selected_scheme(), 8u);
   EXPECT_EQ(st.selected().name(), "BS-4");
   EXPECT_EQ(st.selected().pulses(), 4u);
 }
@@ -251,6 +253,65 @@ TEST(MixedGboTrainer, SelectionStringFormat) {
   EXPECT_EQ(s.front(), '[');
   EXPECT_EQ(s.back(), ']');
   EXPECT_NE(s.find("TC-"), std::string::npos);
+}
+
+TEST(MixedGboTrainer, EmptyDatasetReturnsZeroedStats) {
+  TinySetup setup = make_tiny();
+  MixedGboTrainer trainer(*setup.model.net, setup.model.encoded, small_cfg());
+  data::Dataset empty;
+  empty.images = Tensor({0, 16});
+  const auto history = trainer.train(empty);
+  ASSERT_EQ(history.size(), small_cfg().epochs);
+  for (const GboEpochStats& s : history) {
+    EXPECT_EQ(s.loss_ce, 0.0f);
+    EXPECT_EQ(s.train_accuracy, 0.0f);
+  }
+}
+
+TEST(MixedGboTrainer, ZeroBatchSizeThrows) {
+  TinySetup setup = make_tiny();
+  MixedGboConfig cfg = small_cfg();
+  cfg.batch_size = 0;
+  EXPECT_THROW(MixedGboTrainer(*setup.model.net, setup.model.encoded, cfg),
+               std::invalid_argument);
+}
+
+struct ThreadGuard {
+  std::size_t saved = ThreadPool::instance().num_threads();
+  ~ThreadGuard() { ThreadPool::instance().set_num_threads(saved); }
+};
+
+// λ after N steps on layers wide enough to split every pooled stage into
+// several blocks must not depend on the pool width.
+TEST(MixedGboTrainer, LambdaBitwiseEqualAtPoolWidthsOneAndFour) {
+  ThreadGuard guard;
+  TinySetup tiny = make_tiny();
+  const auto run = [&](std::size_t width) {
+    ThreadPool::instance().set_num_threads(width);
+    models::MlpConfig mcfg;
+    mcfg.in_features = 16;
+    mcfg.hidden = {64, 1024, 1024};
+    mcfg.num_classes = 4;
+    models::Mlp model = build_mlp(mcfg);
+    MixedGboConfig cfg = small_cfg();
+    cfg.epochs = 1;
+    cfg.batch_size = 32;
+    cfg.lr = 0.05f;
+    cfg.gamma = 1e-3;
+    MixedGboTrainer trainer(*model.net, model.encoded, cfg);
+    trainer.train(tiny.train);
+    std::vector<float> lambdas;
+    for (std::size_t i = 0; i < trainer.num_layers(); ++i) {
+      const Tensor& l = trainer.layer_state(i).lambda().value;
+      lambdas.insert(lambdas.end(), l.data(), l.data() + l.numel());
+    }
+    return lambdas;
+  };
+  const std::vector<float> one = run(1), four = run(4);
+  ASSERT_EQ(one.size(), four.size());
+  EXPECT_EQ(std::memcmp(one.data(), four.data(), one.size() * sizeof(float)),
+            0);
+  EXPECT_NE(one[0], 0.0f);
 }
 
 }  // namespace
