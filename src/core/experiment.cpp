@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include "common/artifact_cache.hpp"
+#include "common/keyed_normal.hpp"
 #include "common/logging.hpp"
 #include "data/cifar10.hpp"
 
@@ -83,7 +84,8 @@ Experiment make_experiment() {
 std::vector<double> calibrated_sigmas(Experiment& exp) {
   const std::string fp = exp.cfg.model.fingerprint() + "|" +
                          exp.cfg.data_fingerprint() + "|" +
-                         exp.cfg.pretrain.fingerprint() + "|sigmas";
+                         exp.cfg.pretrain.fingerprint() + "|sigmas|" +
+                         kKeyedNormalTag;
   const std::string path = artifact_path("sigma-calibration", fp);
   if (artifact_exists(path)) {
     bool ok = false;

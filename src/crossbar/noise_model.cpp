@@ -1,5 +1,7 @@
 #include "crossbar/noise_model.hpp"
 
+#include "common/keyed_normal.hpp"
+
 namespace gbo::xbar {
 
 void GaussianNoiseHook::snap_input(Tensor& x) const {
@@ -20,10 +22,11 @@ void GaussianNoiseHook::snap_input(Tensor& x) const {
 
 void GaussianNoiseHook::add_output_noise(Tensor& out, Rng& rng) const {
   if (sigma_ <= 0.0) return;
-  const double std = sigma_ * std::sqrt(spec_.noise_variance_factor());
-  float* p = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    p[i] += static_cast<float>(rng.normal(0.0, std));
+  add_keyed_normal_parallel(rng(), 0, out.data(), out.numel(), noise_std());
+}
+
+float GaussianNoiseHook::noise_std() const {
+  return static_cast<float>(sigma_ * std::sqrt(spec_.noise_variance_factor()));
 }
 
 void GaussianNoiseHook::on_input(Tensor& x) {
@@ -52,14 +55,12 @@ void GaussianNoiseHook::infer_output_rows(Tensor& out, Rng* rngs,
   if (num_streams == 0 || out.ndim() == 0 || out.dim(0) != num_streams)
     throw std::invalid_argument(
         "GaussianNoiseHook::infer_output_rows: stream/batch mismatch");
-  const double std = sigma_ * std::sqrt(spec_.noise_variance_factor());
+  const float std = noise_std();
   const std::size_t row = out.numel() / num_streams;
-  float* p = out.data();
-  // Row r consumes exactly the `row` normals infer_output would draw for a
-  // unit batch holding row r — same std, same element order.
+  // Row r takes its key from rngs[r] and indexes from 0 — exactly the draw
+  // infer_output makes for a unit batch holding row r.
   for (std::size_t r = 0; r < num_streams; ++r)
-    for (std::size_t j = 0; j < row; ++j)
-      p[r * row + j] += static_cast<float>(rngs[r].normal(0.0, std));
+    add_keyed_normal(rngs[r](), 0, out.data() + r * row, row, std);
 }
 
 }  // namespace gbo::xbar

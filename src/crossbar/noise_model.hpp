@@ -41,7 +41,9 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
   /// differs from the base (PLA re-encoding).
   void on_input(Tensor& x) override;
 
-  /// Adds N(0, σ² · variance_factor) to every output element.
+  /// Adds N(0, σ² · variance_factor) to every output element: one key from
+  /// the hook's stream per call, element i taking the keyed normal at
+  /// index i (common/keyed_normal.hpp).
   void on_forward(Tensor& out) override;
 
   /// Stateless counterparts (Module::infer path): identical transforms, the
@@ -50,8 +52,9 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
   void infer_input(Tensor& x, Rng& rng) const override;
   void infer_output(Tensor& out, Rng& rng) const override;
 
-  /// Per-sample streams (DESIGN.md §6): row r's noise comes from rngs[r] —
-  /// for each row, the same draws infer_output takes for a unit batch.
+  /// Per-sample streams (DESIGN.md §6): row r's noise is keyed by one draw
+  /// from rngs[r] and indexed from 0 within the row — for each row, the
+  /// noise infer_output adds to a unit batch.
   void infer_output_rows(Tensor& out, Rng* rngs,
                          std::size_t num_streams) const override;
 
@@ -66,6 +69,8 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
   /// Shared bodies; both execution paths run exactly these float ops.
   void snap_input(Tensor& x) const;
   void add_output_noise(Tensor& out, Rng& rng) const;
+  /// σ · √(variance_factor), the per-element noise std.
+  float noise_std() const;
 
   Rng rng_;
   double sigma_;

@@ -21,7 +21,8 @@ Tensor pla_approximate(const Tensor& activations, std::size_t target_pulses) {
 
 void pla_approximate_inplace(Tensor& activations, std::size_t target_pulses) {
   float* a = activations.data();
-  for (std::size_t i = 0; i < activations.numel(); ++i)
+  const std::size_t n = activations.numel();
+  for (std::size_t i = 0; i < n; ++i)
     a[i] = thermometer_snap(a[i], target_pulses);
 }
 

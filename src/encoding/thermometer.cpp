@@ -1,20 +1,6 @@
 #include "encoding/thermometer.hpp"
 
-#include <cmath>
-
 namespace gbo::enc {
-
-std::size_t thermometer_level(float value, std::size_t num_pulses) {
-  value = value > 1.0f ? 1.0f : (value < -1.0f ? -1.0f : value);
-  const float p = static_cast<float>(num_pulses);
-  const long idx = std::lround((value + 1.0f) * 0.5f * p);
-  return static_cast<std::size_t>(idx < 0 ? 0 : idx);
-}
-
-float thermometer_snap(float value, std::size_t num_pulses) {
-  const float p = static_cast<float>(num_pulses);
-  return (2.0f * static_cast<float>(thermometer_level(value, num_pulses)) - p) / p;
-}
 
 PulseTrain thermometer_encode(const Tensor& activations, std::size_t num_pulses) {
   PulseTrain train;

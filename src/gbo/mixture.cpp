@@ -1,5 +1,6 @@
 #include "gbo/mixture.hpp"
 
+#include "common/keyed_normal.hpp"
 #include "common/logging.hpp"
 #include "common/thread_pool.hpp"
 #include "nn/loss.hpp"
@@ -34,12 +35,13 @@ std::vector<double> softmax(const std::vector<double>& z) {
 SchemeMixtureState::SchemeMixtureState(std::vector<std::size_t> pulses,
                                        const std::vector<double>& stddevs,
                                        double gamma, Rng rng, const char* who)
-    : rng_(rng), pulses_(std::move(pulses)), gamma_(gamma), who_(who) {
+    : rng_(rng),
+      pulses_(std::move(pulses)),
+      stddevs_(stddevs.begin(), stddevs.end()),
+      gamma_(gamma),
+      who_(who) {
   if (pulses_.empty())
     throw std::invalid_argument(std::string(who) + ": empty scheme set");
-  // ε_k is drawn at the float-rounded std, as by ops::fill_normal; the
-  // noise bits depend on that rounding.
-  for (double s : stddevs) stddevs_.push_back(static_cast<float>(s));
   // λ starts uniform (all schemes equally likely).
   lambda_ = nn::Param("lambda", Tensor({pulses_.size()}));
 }
@@ -80,11 +82,25 @@ void SchemeMixtureState::accumulate_latency_grad() {
 }
 
 void SchemeMixtureState::draw_noise(const Tensor& out) {
-  noise_.resize(pulses_.size());
-  for (std::size_t k = 0; k < noise_.size(); ++k) {
+  const std::size_t m = pulses_.size(), n = out.numel();
+  noise_.resize(m);
+  noise_data_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
     if (noise_[k].shape() != out.shape()) noise_[k] = Tensor(out.shape());
-    rng_.fill_normal(noise_[k].data(), out.numel(), 0.0, stddevs_[k]);
+    noise_data_[k] = noise_[k].data();
   }
+  // One key per call; ε_k is keyed stream k, drawn in fixed blocks of one
+  // pool pass over all m tensors.
+  const std::uint64_t key = rng_();
+  const std::size_t blocks = (n + kKeyedNormalGrain - 1) / kKeyedNormalGrain;
+  parallel_for(0, m * blocks, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; ++b) {
+      const std::size_t k = b / blocks, i = b % blocks * kKeyedNormalGrain;
+      keyed_normal(key, i, noise_data_[k] + i,
+                   std::min(kKeyedNormalGrain, n - i), stddevs_[k],
+                   static_cast<std::uint32_t>(k));
+    }
+  });
 }
 
 void SchemeMixtureState::add_noise(Tensor& out,

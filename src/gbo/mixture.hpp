@@ -11,8 +11,10 @@
 //     encoded layer, and the λ-only ADAM loop.
 //
 // Bit-identity contract: every step is bitwise identical at any
-// GBO_NUM_THREADS. ε_k comes from Rng::fill_normal (bitwise equal to
-// sequential draws, DESIGN.md §3) in k order; the mixture add and the
+// GBO_NUM_THREADS. Each forward takes one 64-bit key from rng_, and
+// ε_k[i] is the keyed normal at (key, stream k, index i)
+// (common/keyed_normal.hpp, DESIGN.md §3) — a pure function, so the pool
+// blocks that draw it cannot change its bits; the mixture add and the
 // gradient dot products run in fixed pool blocks, each element summing
 // its k terms in ascending order and each c_k keeping one sequential
 // double accumulation.
@@ -75,7 +77,8 @@ class SchemeMixtureState : public quant::MvmNoiseHook {
                      const std::vector<double>& stddevs, double gamma, Rng rng,
                      const char* who);
 
-  /// Draws ε_0 .. ε_{m-1}, each of out's shape, in k order from rng_.
+  /// Draws ε_0 .. ε_{m-1}, each of out's shape: one key from rng_, ε_k the
+  /// keyed stream k scaled by stddev_k, on the pool.
   void draw_noise(const Tensor& out);
 
   /// out[i] += Σ_k float(w_k) ε_k[i], k ascending per element, in one
@@ -98,11 +101,12 @@ class SchemeMixtureState : public quant::MvmNoiseHook {
 
  private:
   std::vector<std::size_t> pulses_;
-  std::vector<double> stddevs_;
+  std::vector<float> stddevs_;
   double gamma_;
   const char* who_;
   nn::Param lambda_;          // [m]
   std::vector<Tensor> noise_;  // ε_k of the last forward, reused
+  std::vector<float*> noise_data_;  // noise_[k].data(), taken per draw
   std::vector<double> cached_alpha_;  // α of the last Eq. 5 forward
 };
 

@@ -1,6 +1,7 @@
 // Unit and behavioural tests of the GBO optimizer (paper §III-A).
 #include "gbo/gbo.hpp"
 
+#include "common/keyed_normal.hpp"
 #include "common/thread_pool.hpp"
 #include "gbo/pla_schedule.hpp"
 #include "models/mlp.hpp"
@@ -130,8 +131,9 @@ bool same_bits(const Tensor& a, const Tensor& b) {
 }
 
 // Serial reference of the Eq. 5/7 hook, the bitwise oracle for the pooled
-// GboLayerState: fresh ε_k per forward drawn by sequential normal() calls,
-// a serial axpy per scheme, serial dot products.
+// GboLayerState: one key per forward, ε_k drawn by the serial keyed_normal
+// entry over the whole tensor (stream k), a serial axpy per scheme, serial
+// dot products.
 struct SerialGboOracle {
   SerialGboOracle(const GboConfig& c, Rng r, std::vector<float> l)
       : cfg(c), rng(r), lambda(std::move(l)) {}
@@ -163,12 +165,13 @@ struct SerialGboOracle {
     const std::size_t m = pulses.size();
     cached_alpha = alpha();
     cached_noise.assign(m, Tensor());
+    const std::uint64_t key = rng();
     for (std::size_t k = 0; k < m; ++k) {
       const double std = cfg.sigma / std::sqrt(static_cast<double>(pulses[k]));
       Tensor eps(out.shape());
       float* e = eps.data();
-      for (std::size_t i = 0; i < eps.numel(); ++i)
-        e[i] = static_cast<float>(rng.normal(0.0f, static_cast<float>(std)));
+      keyed_normal(key, 0, e, eps.numel(), static_cast<float>(std),
+                   static_cast<std::uint32_t>(k));
       const float s = static_cast<float>(cached_alpha[k]);
       float* p = out.data();
       for (std::size_t i = 0; i < out.numel(); ++i) p[i] += s * e[i];
@@ -204,11 +207,11 @@ Tensor random_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
 
 TEST(GboLayerState, ForwardAndBackwardBitwiseEqualSerialOracle) {
   ThreadGuard guard;
-  // Shapes straddle the mixture and fill_normal block grains (odd sizes,
-  // an odd tail that leaves a cached normal) and change mid-run, so the
-  // reused ε buffers are both kept and reallocated.
+  // Shapes straddle the mixture and keyed-normal block grains (odd sizes,
+  // partial Philox blocks) and change mid-run, so the reused ε buffers are
+  // both kept and reallocated.
   const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 5001}, {3, 5001}, {7, 11}, {2, 8193}, {2, 8193}};
+      {3, 5001}, {3, 5001}, {7, 11}, {2, 8193}, {2, 8193}, {3, 16385}};
   for (std::size_t width : {1u, 4u}) {
     ThreadPool::instance().set_num_threads(width);
     GboConfig cfg = small_cfg();

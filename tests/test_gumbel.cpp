@@ -271,6 +271,14 @@ TEST(GumbelGboTrainer, HighGammaSelectsShortSchedules) {
 }
 
 TEST(GumbelGboTrainer, HighNoiseSelectsLongSchedules) {
+  // Soft relaxation: every forward mixes all schemes, so c_k = <g, ε_k>
+  // carries each scheme's noise cost and long schedules win clearly. The
+  // hard (straight-through) estimator only sees the sampled scheme's noise
+  // and averages ~10 pulses over seeds — the uniform-choice mean — so a
+  // single-seed threshold on it tests seed luck, not the property; hard
+  // mode stays covered by HighGammaSelectsShortSchedules and the pool-width
+  // test below. The mean over fixed seeds keeps this check stable across
+  // noise-stream changes.
   TinySetup setup = make_tiny();
   pretrain_tiny(setup);
   GumbelConfig cfg;
@@ -279,9 +287,16 @@ TEST(GumbelGboTrainer, HighNoiseSelectsLongSchedules) {
   cfg.base.epochs = 8;
   cfg.base.lr = 0.05f;
   cfg.base.batch_size = 32;
-  GumbelGboTrainer trainer(*setup.model.net, setup.model.encoded, cfg);
-  trainer.train(setup.train);
-  EXPECT_GE(trainer.avg_selected_pulses(), 10.0);
+  cfg.hard = false;
+  double sum = 0.0;
+  constexpr std::uint64_t kSeeds = 8;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    cfg.base.seed = seed;
+    GumbelGboTrainer trainer(*setup.model.net, setup.model.encoded, cfg);
+    trainer.train(setup.train);
+    sum += trainer.avg_selected_pulses();
+  }
+  EXPECT_GE(sum / kSeeds, 12.0);
 }
 
 TEST(GumbelGboTrainer, EmptyDatasetReturnsZeroedStats) {
