@@ -137,7 +137,7 @@ Json trace_summary(const TraceSnapshot& snap) {
     }
     if (is_kernel(type)) {
       // Binary MVM spans ran on the runtime-dispatched kernel; record which
-      // one so the breakdown is self-describing like BENCH_mvm.json.
+      // one so the breakdown is self-describing.
       if (type == EventType::kBinaryMvm)
         s.set("kernel", gemm::binary_kernel_name());
       kernels.set(event_name(type), s);

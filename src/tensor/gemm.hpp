@@ -23,9 +23,9 @@
 //     the packed and unpacked paths (tests/test_gemm.cpp).
 //   * Thread count: GBO_NUM_THREADS / ThreadPool (common/thread_pool.hpp).
 //
-// The seed's naive loops are retained below as `naive_*` — they are the
-// correctness oracle for tests/test_gemm.cpp and the baseline the
-// bench_micro_mvm speedup numbers are measured against.
+// The seed's naive loops live on as test-only oracles
+// (tests/oracles/gemm_oracles.hpp), the reference tests/test_gemm.cpp
+// checks every dispatch path against.
 //
 // All pointers are row-major with explicit leading dimensions; matrices may
 // not alias. Callers (ops::matmul*) own shape validation.
@@ -279,19 +279,5 @@ void gemm_nn_unpacked(std::size_t m, std::size_t n, std::size_t k,
                       const float* A, std::size_t lda, const float* B,
                       std::size_t ldb, float* C, std::size_t ldc,
                       bool accumulate);
-
-// ---- retained naive reference kernels (seed implementations) -------------
-
-/// Seed ikj loop: C += A·B (callers zero C for the plain product).
-void naive_gemm_nn_acc(std::size_t m, std::size_t n, std::size_t k,
-                       const float* A, const float* B, float* C);
-
-/// Seed dot-product loop: C = A·Bᵀ.
-void naive_gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
-                   const float* B, float* C);
-
-/// Seed outer-product loop: C += Aᵀ·B.
-void naive_gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k,
-                       const float* A, const float* B, float* C);
 
 }  // namespace gbo::gemm

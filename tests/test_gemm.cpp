@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "gemm_oracles.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
 

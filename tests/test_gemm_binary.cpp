@@ -5,6 +5,7 @@
 #include "tensor/gemm_binary.hpp"
 
 #include "common/thread_pool.hpp"
+#include "gemm_oracles.hpp"
 #include "quant/binary_weight.hpp"
 #include "quant/quant_layers.hpp"
 #include "tensor/gemm.hpp"
@@ -75,6 +76,7 @@ TEST(GemmBinary, BitwiseEqualToFloatOraclesAcrossShapes) {
   check_shape(7, 33, 63);    // ragged everywhere
   check_shape(129, 33, 257); // tall + ragged, crosses every blocking edge
   check_shape(5, 16, 576);   // conv-like fan-in (64·3·3), multiple words
+  check_shape(16, 512, 512); // n > kChunk (256 rows): the multi-chunk j0 loop
 }
 
 TEST(GemmBinary, BitwiseAcrossThreadCounts) {
