@@ -859,7 +859,6 @@ int main(int argc, char** argv) {
 
   serve::BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_us = 200;
 
   {
     serve::AnalyticBackend clean(*model.net, /*stochastic=*/false);

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig scfg;
   scfg.batch.max_batch = 8;
-  scfg.batch.max_wait_us = 200;
   scfg.num_workers = 4;
 
   std::printf("Serving %zu requests on %zu workers (%zu pool threads)...\n\n",

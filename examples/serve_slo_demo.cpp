@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = 29;
   cfg.slo.enabled = true;
   cfg.slo.deadline_us = 15000;

@@ -84,7 +84,6 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
   CircuitBreaker breaker(slo.breaker);
   const std::size_t n_lanes = std::max<std::size_t>(1, slo.virtual_lanes);
   std::vector<std::uint64_t> lanes(n_lanes, 0);  // lane free-at times
-  const std::size_t max_batch = std::max<std::size_t>(1, batch.max_batch);
   int level = 0;
   std::size_t logged_opens = 0;  // breaker opens already in the transition log
 
@@ -128,16 +127,13 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
       ingest(i++);
       continue;
     }
-    // Next virtual flush on the soonest-free lane: immediately once a full
-    // batch is queued, otherwise when the oldest member's coalescing wait
-    // expires — exactly the real micro-batcher's flush rule.
+    // Next virtual flush: the soonest-free lane takes whatever is queued the
+    // moment both it and a request exist — exactly the real micro-batcher's
+    // work-conserving rule; a batch never waits for company.
     const std::size_t lane = static_cast<std::size_t>(
         std::min_element(lanes.begin(), lanes.end()) - lanes.begin());
-    const std::uint64_t oldest = vq.oldest_enqueue_us();
     const std::uint64_t flush_t =
-        vq.size() >= max_batch
-            ? std::max(lanes[lane], oldest)
-            : std::max(lanes[lane], oldest + batch.max_wait_us);
+        std::max(lanes[lane], vq.oldest_enqueue_us());
     // Arrivals at or before the flush instant are ingested first so the
     // planner's batch composition matches what a worker popping at flush_t
     // would have seen (ties break toward ingestion).

@@ -3,7 +3,6 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace gbo::serve {
 namespace {
@@ -105,26 +104,7 @@ bool RequestQueue::pop_batch(const BatchPolicy& policy,
   if (size_ == 0) return false;  // closed and drained: shutdown
   collect_locked(cap, /*now_us=*/0, Priority::kLow, out, shed);
   GBO_TRACE_EVENT(obs::EventType::kQueuePop, pop_seq_++, 0, size_);
-  // A pure shed flush made progress: report it without forming a batch so
-  // the caller can account the sheds and come straight back.
-  if (out.empty()) return true;
-  if (policy.max_wait_us == 0) {
-    // No coalescing wait: collect_locked already took whatever was queued.
-    return true;
-  }
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::microseconds(policy.max_wait_us);
-  while (out.size() < cap) {
-    if (size_ > 0) {
-      collect_locked(cap, /*now_us=*/0, Priority::kLow, out, shed);
-      continue;
-    }
-    if (closed_) break;
-    if (!cv_.wait_until(lock, deadline,
-                        [&] { return closed_ || size_ > 0; }))
-      break;  // batching window expired
-  }
-  return true;
+  return true;  // a pure shed flush (empty out) also made progress
 }
 
 bool RequestQueue::try_pop_batch(const BatchPolicy& policy,

@@ -1,13 +1,12 @@
 // Thread-safe, priority-aware, optionally bounded request queue with a
 // dynamic micro-batcher pop and deadline-aware shedding.
 //
-// Producers push requests as they arrive; workers call pop_batch, which
-// implements the classic dynamic-batching tradeoff: return as soon as
-// max_batch requests are in hand, or when the first popped request has
-// waited max_wait_us for company — whichever comes first (max_wait_us == 0
-// flushes whatever is queued immediately, with no coalescing wait). A
-// closed, drained queue releases every waiting worker with `false`, which
-// is the workers' shutdown signal.
+// Producers push requests as they arrive; workers call pop_batch, a
+// work-conserving micro-batcher: a free worker takes whatever is queued, up
+// to max_batch, at once, and never holds a batch waiting for company.
+// Batches therefore form only from backlog — requests that arrived while
+// every worker was busy. A closed, drained queue releases every waiting
+// worker with `false`, which is the workers' shutdown signal.
 //
 // Robustness mechanisms (DESIGN.md §7), all off by default so the legacy
 // unbounded-FIFO behaviour is the zero-config case:
@@ -25,7 +24,7 @@
 // try_pop_batch is the non-blocking variant the virtual-time SLO planner
 // (serve/policy.cpp) drives: it runs the exact same collect logic under an
 // explicit `now_us`, which is what makes planner decisions and real queue
-// mechanics share one implementation.
+// mechanics share one implementation (and one flush rule).
 #pragma once
 
 #include "serve/request.hpp"
@@ -74,12 +73,13 @@ class RequestQueue {
   /// Marks the end of the trace; wakes every waiting worker.
   void close();
 
-  /// Pops one micro-batch per the policy, highest priority class first.
+  /// Pops up to max_batch queued requests, highest priority class first.
   /// Blocks until at least one request is available (or the queue is closed
-  /// and drained, returning false). Requests carrying the control-plane
-  /// shed mark are diverted into *shed (dropped if null) before batching;
-  /// a call that only shed still returns true with an empty `out` so the
-  /// caller can account the sheds and loop. max_batch == 0 is treated as 1.
+  /// and drained, returning false), then returns at once with whatever is
+  /// queued. Requests carrying the control-plane shed mark are diverted
+  /// into *shed (dropped if null) before batching; a call that only shed
+  /// still returns true with an empty `out` so the caller can account the
+  /// sheds and loop. max_batch == 0 is treated as 1.
   bool pop_batch(const BatchPolicy& policy, std::vector<Request>& out,
                  std::vector<Request>* shed = nullptr);
 
@@ -87,7 +87,7 @@ class RequestQueue {
   /// requests whose deadline is <= now_us, and requests with a class below
   /// min_priority (the overload floor), then batches up to max_batch of
   /// what remains. Returns true when anything was popped or shed. This is
-  /// the planner's entry point; it never waits for company.
+  /// the planner's entry point.
   bool try_pop_batch(const BatchPolicy& policy, std::uint64_t now_us,
                      Priority min_priority, std::vector<Request>& out,
                      std::vector<Request>& shed);
@@ -96,7 +96,7 @@ class RequestQueue {
   std::size_t size() const;
 
   /// Earliest enqueue_us among queued requests; ~0 when empty. The planner
-  /// uses it to schedule virtual flush times.
+  /// uses it to schedule virtual flush instants.
   std::uint64_t oldest_enqueue_us() const;
 
   DepthStats depth_stats() const;

@@ -78,12 +78,13 @@ struct Request {
   std::uint32_t version = 0;
 };
 
-/// Micro-batching policy: a batch flushes as soon as it holds max_batch
-/// requests or the oldest member has waited max_wait_us since its pop.
-/// max_wait_us == 0 means "no coalescing wait": flush whatever is already
-/// queued immediately (never a busy spin, never an indefinite wait).
+/// Micro-batching policy. One rule, shared by RequestQueue::pop_batch and
+/// the planner: a free worker (virtual lane) takes whatever is queued, up to
+/// max_batch, at once — a batch never waits for company.
 struct BatchPolicy {
   std::size_t max_batch = 8;
+  /// Has no effect: batches never wait. Kept only because the benchmark
+  /// harness under perfbench/ still assigns it.
   std::uint64_t max_wait_us = 200;
 };
 

@@ -12,8 +12,9 @@
 //        |                     ReplicaGroup alike): replays arrivals in real
 //        |                     time into per-replica RequestQueues (one
 //        |                     producer) exactly as the plan says
-//   RequestQueue::pop_batch    dynamic micro-batching (max_batch /
-//        |                     max_wait_us)
+//   RequestQueue::pop_batch    work-conserving micro-batching: a free
+//        |                     worker takes whatever is queued, up to
+//        |                     max_batch, at once
 //   worker pool                num_workers long-lived workers per replica on
 //        |                     the shared ThreadPool; each owns an
 //        |                     EvalContext with a ScratchArena, so steady-

@@ -267,7 +267,6 @@ TEST(TraceServe, SloOffRunFingerprintMatchesAcrossWorkersAndOracle) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = 17;
 
   ThreadPool::instance().set_num_threads(1);
@@ -336,7 +335,6 @@ TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = 29;
   cfg.slo.enabled = true;
   cfg.slo.deadline_us = 15000;
@@ -426,7 +424,6 @@ TEST(TraceServe, SteadyStateEmissionDoesNotMintRings) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = 17;
   cfg.num_workers = 4;
   ThreadPool::instance().set_num_threads(4);

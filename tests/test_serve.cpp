@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 namespace gbo {
 namespace {
@@ -104,7 +105,6 @@ TEST(ServeQueue, GreedyFlushRespectsMaxBatch) {
   q.close();
   serve::BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   std::vector<serve::Request> batch;
   std::vector<std::size_t> sizes;
   std::uint64_t next_id = 0;
@@ -120,18 +120,36 @@ TEST(ServeQueue, GreedyFlushRespectsMaxBatch) {
   EXPECT_GE(q.depth_stats().max_depth, 10u);
 }
 
-TEST(ServeQueue, TimeoutFlushesPartialBatch) {
-  serve::RequestQueue q;
-  serve::Request r;
-  q.push(r);
-  serve::BatchPolicy policy;
-  policy.max_batch = 8;
-  policy.max_wait_us = 2000;
-  std::vector<serve::Request> batch;
-  EXPECT_TRUE(q.pop_batch(policy, batch));  // returns after the window
-  EXPECT_EQ(batch.size(), 1u);
-  q.close();
-  EXPECT_FALSE(q.pop_batch(policy, batch));  // closed and drained
+// The work-conserving batcher: a free worker takes whatever is queued at
+// once. max_wait_us has no effect — no window holds a partial batch for
+// company, and no close() is needed to release it.
+TEST(ServeQueue, PartialBatchNeverWaitsForCompany) {
+  struct Case {
+    std::uint64_t max_wait_us;
+    std::size_t queued;
+  };
+  for (const Case c : {Case{10'000'000, 1}, Case{0, 3}}) {
+    serve::RequestQueue q;
+    for (std::uint64_t i = 0; i < c.queued; ++i) {
+      serve::Request r;
+      r.id = i;
+      q.push(r);
+    }
+    serve::BatchPolicy policy;
+    policy.max_batch = 8;  // more than queued
+    policy.max_wait_us = c.max_wait_us;
+    std::vector<serve::Request> batch;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(q.pop_batch(policy, batch));
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(batch.size(), c.queued) << c.max_wait_us;
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                  .count(),
+              1000)
+        << c.max_wait_us;
+    q.close();
+    EXPECT_FALSE(q.pop_batch(policy, batch));  // closed and drained
+  }
 }
 
 // ---- end-to-end determinism ----------------------------------------------
@@ -165,7 +183,6 @@ serve::ServeReport run_server(const serve::Backend& backend,
                               std::size_t workers, std::size_t max_batch) {
   serve::ServeConfig cfg;
   cfg.batch.max_batch = max_batch;
-  cfg.batch.max_wait_us = 100;
   cfg.num_workers = workers;
   cfg.seed = kServeSeed;
   serve::InferenceServer server(
@@ -333,7 +350,6 @@ TEST(ServeRuntime, SteadyStateRunsDoNotGrowArenas) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 100;
   cfg.num_workers = 2;
   cfg.seed = kServeSeed;
   serve::InferenceServer server(

@@ -179,7 +179,6 @@ serve::TrafficConfig flash_traffic() {
 serve::ServeConfig fleet_config() {
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = kServeSeed;
   cfg.slo.enabled = true;
   cfg.slo.deadline_us = 15000;
@@ -406,7 +405,6 @@ ExecutorCase draw_case(std::uint64_t seed, std::size_t ds_size) {
 
   serve::ServeConfig& cfg = c.cfg;
   cfg.batch.max_batch = pick(1, 8);
-  cfg.batch.max_wait_us = pick(0, 200);
   cfg.seed = seed;
   serve::SloPolicy& slo = cfg.slo;
   slo.enabled = rng.bernoulli(0.7);
@@ -571,7 +569,6 @@ TEST(ServerSpecBuilder, SingleReplicaSpecIsReproducible) {
 
   serve::ServeConfig plain;
   plain.batch.max_batch = 8;
-  plain.batch.max_wait_us = 100;
   plain.num_workers = 2;
   plain.seed = kServeSeed;
   serve::TrafficConfig tcfg;

@@ -1,6 +1,6 @@
 // SLO control plane (DESIGN.md §7): bounded-queue admission (reject-new /
 // drop-oldest with the priority guard), priority-ordered pops, deadline and
-// overload shedding at pop time, the max_wait_us == 0 flush regression,
+// overload shedding at pop time, the planner's work-conserving flush rule,
 // shutdown/drain under producer/consumer load, deterministic fault
 // injection and the circuit breaker, the diurnal / flash-crowd trace
 // shapes, the virtual-time planner's invariants, and the end-to-end
@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <thread>
 
@@ -97,7 +96,6 @@ TEST(ServeSloQueue, PopsDrainHigherPriorityClassesFirst) {
   q.close();
   serve::BatchPolicy policy;
   policy.max_batch = 8;
-  policy.max_wait_us = 0;
   std::vector<serve::Request> batch;
   ASSERT_TRUE(q.pop_batch(policy, batch));
   ASSERT_EQ(batch.size(), 4u);
@@ -144,7 +142,6 @@ TEST(ServeSloQueue, MarkedRequestsAreDivertedByBlockingPop) {
   q.push(marked);
   serve::BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 0;
   std::vector<serve::Request> batch, shed;
   // A pure-shed flush still returns true with an empty batch.
   ASSERT_TRUE(q.pop_batch(policy, batch, &shed));
@@ -153,27 +150,6 @@ TEST(ServeSloQueue, MarkedRequestsAreDivertedByBlockingPop) {
   EXPECT_EQ(shed[0].reason, serve::ShedReason::kExpired);
   q.close();
   EXPECT_FALSE(q.pop_batch(policy, batch, &shed));
-}
-
-// Regression (satellite): max_wait_us == 0 must flush whatever is queued
-// immediately — no coalescing wait for max_batch company, no close()
-// required, and never an indefinite block.
-TEST(ServeSloQueue, ZeroWaitFlushReturnsImmediatelyWithoutClose) {
-  serve::RequestQueue q;
-  q.push(make_request(0));
-  q.push(make_request(1));
-  q.push(make_request(2));
-  serve::BatchPolicy policy;
-  policy.max_batch = 8;  // more than queued: must NOT wait for company
-  policy.max_wait_us = 0;
-  std::vector<serve::Request> batch;
-  const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(q.pop_batch(policy, batch));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            1000);  // generous bound: the old bug was an unbounded wait
 }
 
 // Shutdown / drain under load (satellite): concurrent producers + consumers,
@@ -186,7 +162,6 @@ TEST(ServeSloQueue, ShutdownDrainsWithoutLosingAcceptedRequests) {
   std::atomic<std::size_t> popped{0}, shed_seen{0};
   serve::BatchPolicy policy;
   policy.max_batch = 4;
-  policy.max_wait_us = 50;
 
   std::vector<std::thread> consumers;
   for (std::size_t c = 0; c < kConsumers; ++c) {
@@ -428,7 +403,6 @@ TEST(ServeSloPlanner, PlanIsDeterministicCompleteAndPolicySensitive) {
   const serve::SloPolicy slo = overload_policy();
   serve::BatchPolicy batch;
   batch.max_batch = 8;
-  batch.max_wait_us = 200;
 
   const serve::Plan a = serve::plan(trace, slo, batch);
   const serve::Plan b = serve::plan(trace, slo, batch);
@@ -492,7 +466,6 @@ TEST(ServeSloPlanner, UnstressedPlanServesEverythingAtFullFidelity) {
   slo.fault.enabled = false;
   serve::BatchPolicy batch;
   batch.max_batch = 8;
-  batch.max_wait_us = 200;
   const serve::Plan p = serve::plan(trace, slo, batch);
   EXPECT_EQ(p.counters.served, trace.size());
   EXPECT_EQ(p.counters.served_primary, trace.size());
@@ -501,6 +474,56 @@ TEST(ServeSloPlanner, UnstressedPlanServesEverythingAtFullFidelity) {
             0u);
   EXPECT_EQ(p.counters.late, 0u);
   EXPECT_EQ(p.counters.max_ladder_level, 0);
+}
+
+// The planner's flush rule is the queue's: the soonest-free lane takes
+// whatever is queued the moment both exist. With arrivals spaced well
+// beyond the worst batch cost every lane is idle at each arrival, so each
+// request is popped at its own arrival instant — never held for company.
+TEST(ServeSloPlanner, IdleLaneFlushesAtArrival) {
+  std::vector<serve::Arrival> trace(40);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].t_us = 1000 + 20000 * i;  // worst batch cost is 7250
+    trace[i].sample = i % 32;
+  }
+  serve::SloPolicy slo = overload_policy();
+  slo.fault.enabled = false;
+  serve::BatchPolicy batch;
+  batch.max_batch = 8;
+  const serve::Plan p = serve::plan(trace, slo, batch);
+  ASSERT_EQ(p.counters.served, trace.size());
+  EXPECT_EQ(p.counters.virtual_batches, trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    EXPECT_EQ(p.decisions[i].v_pop_us, trace[i].t_us) << i;
+}
+
+// Batches form only from backlog: a burst of 3 * max_batch simultaneous
+// arrivals on one lane is served as full batches, back to back — each pop
+// lands the instant the lane frees.
+TEST(ServeSloPlanner, BacklogFormsFullBatchesBackToBack) {
+  constexpr std::size_t kMaxBatch = 8;
+  std::vector<serve::Arrival> trace(3 * kMaxBatch);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].sample = i;
+  serve::SloPolicy slo = overload_policy();
+  slo.fault.enabled = false;
+  slo.virtual_lanes = 1;
+  serve::BatchPolicy batch;
+  batch.max_batch = kMaxBatch;
+  const serve::Plan p = serve::plan(trace, slo, batch);
+  ASSERT_EQ(p.counters.served, trace.size());
+  ASSERT_EQ(p.counters.virtual_batches, 3u);
+  std::uint64_t lane_free = 0;
+  for (std::size_t g = 0; g < 3; ++g) {
+    const serve::Decision& first = p.decisions[g * kMaxBatch];
+    EXPECT_EQ(first.v_pop_us, lane_free) << g;
+    for (std::size_t k = 1; k < kMaxBatch; ++k) {
+      const serve::Decision& d = p.decisions[g * kMaxBatch + k];
+      EXPECT_EQ(d.v_pop_us, first.v_pop_us) << g << "," << k;
+      EXPECT_EQ(d.v_done_us, first.v_done_us) << g << "," << k;
+    }
+    EXPECT_GT(first.v_done_us, first.v_pop_us) << g;
+    lane_free = first.v_done_us;
+  }
 }
 
 // ---- end-to-end: the plan is what the server executes ---------------------
@@ -538,7 +561,6 @@ TEST(ServeSloRuntime, ShedSetAndPayloadsAreBitwiseIdenticalAcrossWorkers) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = kServeSeed;
   cfg.slo = overload_policy();
 
@@ -628,7 +650,6 @@ TEST(ServeSloRuntime, DisabledSloPreservesLegacyBehaviour) {
 
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 100;
   cfg.num_workers = 2;
   cfg.seed = kServeSeed;
   // slo.enabled defaults to false: every request is served, no report slo.

@@ -69,7 +69,6 @@ serve::TrafficConfig flash_traffic() {
 serve::ServeConfig fleet_config() {
   serve::ServeConfig cfg;
   cfg.batch.max_batch = 8;
-  cfg.batch.max_wait_us = 200;
   cfg.seed = kServeSeed;
   cfg.slo.enabled = true;
   cfg.slo.deadline_us = 15000;
