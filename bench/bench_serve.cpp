@@ -167,7 +167,7 @@ class Report {
 
 /// The 24-32-32-10 binary MLP behind every pulse, SLO, router and swap
 /// scenario: two hidden layers, so fc2 is crossbar-encoded and the pulse
-/// path actually streams per-sample read/output noise through an engine.
+/// path actually streams per-request read/output noise through an engine.
 models::Mlp pulse_mlp(std::uint64_t seed) {
   models::MlpConfig cfg;
   cfg.in_features = 24;
@@ -292,8 +292,8 @@ Json trace_section(Gates& g, const obs::TraceSnapshot& snap1,
 /// measured configuration, warmed then replayed for steady-state stats,
 /// with the frozen-weight cache counters diffed around the steady run),
 /// and a unit-batch server to pin the batching-boundary invariance.
-/// `stochastic` scenarios additionally gate that execution fused on
-/// per-sample streams instead of degenerating to unit batches.
+/// `stochastic` scenarios additionally gate that execution fused instead
+/// of degenerating to unit batches.
 void run_scenario(Report* out, const char* name, const serve::Backend& backend,
                   const data::Dataset& ds,
                   const std::vector<serve::Arrival>& trace,
@@ -348,23 +348,20 @@ void run_scenario(Report* out, const char* name, const serve::Backend& backend,
   // must never be rebuilt in steady state.
   g.check("zero_steady_binary_packs", steady_bpacks == 0,
           "steady-state run re-packed binary sign words");
-  // Stochastic configs must fuse their micro-batches on per-sample streams
-  // (a regression to unit batches would forfeit the whole batching win).
-  // Queue batch sizes are timing-dependent, so the gate compares execution
-  // to the queue instead of to the wall clock: whatever batches the
-  // micro-batcher formed must have executed as single fused calls
-  // (mean_exec_batch keeps up with mean_batch), under the frozen
-  // fused_per_sample mode. A runner so fast that every queue batch is a
-  // unit batch cannot fail this spuriously.
+  // Stochastic configs must fuse their micro-batches (a regression to unit
+  // batches would forfeit the whole batching win). Queue batch sizes are
+  // timing-dependent, so the gate compares execution to the queue instead
+  // of to the wall clock: whatever batches the micro-batcher formed must
+  // have executed as single fused calls (mean_exec_batch keeps up with
+  // mean_batch). A runner so fast that every queue batch is a unit batch
+  // cannot fail this spuriously.
   if (stochastic)
-    g.check("noisy_fused",
-            rep.fusion == "fused_per_sample" &&
-                rep.mean_exec_batch + 1e-9 >= rep.mean_batch,
+    g.check("noisy_fused", rep.mean_exec_batch + 1e-9 >= rep.mean_batch,
             "stochastic scenario did not fuse micro-batches");
 
-  // Batching-boundary invariance is part of the contract for BOTH modes
-  // (fused batches by kernel row-independence, per-sample streams by
-  // construction) — replay with unit batches and demand identical payloads.
+  // Batching-boundary invariance is part of the contract, clean (kernel
+  // row-independence) and noisy (noise keyed by request id) alike — replay
+  // with unit batches and demand identical payloads.
   serve::ServeConfig unit = cfg;
   unit.batch.max_batch = 1;
   serve::InferenceServer us(
@@ -390,11 +387,11 @@ void run_scenario(Report* out, const char* name, const serve::Backend& backend,
 
   std::printf(
       "  [%s] %zu req, %zu workers: p50=%.0fus p95=%.0fus p99=%.0fus "
-      "tput=%.0f rps exec_batch=%.2f (%s) steady_allocs=%zu "
+      "tput=%.0f rps exec_batch=%.2f steady_allocs=%zu "
       "steady_packs=%zu %s\n",
       name, rep.completed, workers, rep.latency.p50_us, rep.latency.p95_us,
       rep.latency.p99_us, rep.throughput_rps, rep.mean_exec_batch,
-      rep.fusion.c_str(), rep.arena.steady_allocs,
+      rep.arena.steady_allocs,
       static_cast<std::size_t>(steady_packs), g.status());
   out->add(g, std::move(j));
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace gbo {
 namespace {
@@ -144,7 +145,44 @@ void keyed_normal_serial(std::uint64_t key, std::uint64_t first, float* out,
   }
 }
 
+template <bool kAdd>
+void keyed_normal_rows_impl(std::uint64_t key,
+                            std::span<const std::uint64_t> row_ids, float* out,
+                            std::size_t n, float stddev, std::uint32_t stream) {
+  const std::size_t groups = row_ids.empty() ? 1 : row_ids.size();
+  if (n % groups != 0)
+    throw std::invalid_argument(
+        "keyed_normal_rows: row ids do not split the range evenly");
+  const std::size_t len = n / groups;
+  for (std::size_t j = 0; j < groups; ++j) {
+    const std::uint64_t k = row_ids.empty() ? key : row_key(key, row_ids[j]);
+    float* o = out + j * len;
+    parallel_for(0, len, kKeyedNormalGrain, [&](std::size_t lo, std::size_t hi) {
+      keyed_normal_serial<kAdd>(k, lo, o + lo, hi - lo, stddev, stream);
+    });
+  }
+}
+
 }  // namespace
+
+std::uint64_t row_key(std::uint64_t site_key, std::uint64_t row_id) {
+  std::uint64_t z = site_key + (row_id + 1) * 0x9E3779B97F4A7C15ull;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+void keyed_normal_rows(std::uint64_t key, std::span<const std::uint64_t> row_ids,
+                       float* out, std::size_t n, float stddev,
+                       std::uint32_t stream) {
+  keyed_normal_rows_impl<false>(key, row_ids, out, n, stddev, stream);
+}
+
+void add_keyed_normal_rows(std::uint64_t key,
+                           std::span<const std::uint64_t> row_ids, float* out,
+                           std::size_t n, float stddev, std::uint32_t stream) {
+  keyed_normal_rows_impl<true>(key, row_ids, out, n, stddev, stream);
+}
 
 void keyed_normal(std::uint64_t key, std::uint64_t first, float* out,
                   std::size_t n, float stddev, std::uint32_t stream) {
@@ -156,13 +194,5 @@ void add_keyed_normal(std::uint64_t key, std::uint64_t first, float* out,
   keyed_normal_serial<true>(key, first, out, n, stddev, stream);
 }
 
-void add_keyed_normal_parallel(std::uint64_t key, std::uint64_t first,
-                               float* out, std::size_t n, float stddev,
-                               std::uint32_t stream) {
-  parallel_for(0, n, kKeyedNormalGrain, [&](std::size_t lo, std::size_t hi) {
-    keyed_normal_serial<true>(key, first + lo, out + lo, hi - lo, stddev,
-                              stream);
-  });
-}
 
 }  // namespace gbo

@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace gbo {
 
@@ -30,17 +31,31 @@ void keyed_normal(std::uint64_t key, std::uint64_t first, float* out,
 void add_keyed_normal(std::uint64_t key, std::uint64_t first, float* out,
                       std::size_t n, float stddev, std::uint32_t stream = 0);
 
-/// add_keyed_normal over fixed kKeyedNormalGrain blocks of the pool;
-/// bitwise the serial result.
-void add_keyed_normal_parallel(std::uint64_t key, std::uint64_t first,
-                               float* out, std::size_t n, float stddev,
-                               std::uint32_t stream = 0);
+/// The key of request `row_id`'s noise at a site keyed `site_key`: a
+/// splitmix64 finalizer of the pair.
+std::uint64_t row_key(std::uint64_t site_key, std::uint64_t row_id);
+
+/// Row-grouped keyed noise (DESIGN.md §3): out[0, n) splits into
+/// row_ids.size() equal groups, and element i of group j is stddev ·
+/// z(row_key(key, row_ids[j]), stream, i). Empty row_ids is one group
+/// under `key` itself. Runs each group over fixed kKeyedNormalGrain blocks
+/// of the pool, bitwise the serial result. Throws
+/// std::invalid_argument when the ids do not split n evenly.
+void keyed_normal_rows(std::uint64_t key, std::span<const std::uint64_t> row_ids,
+                       float* out, std::size_t n, float stddev,
+                       std::uint32_t stream = 0);
+
+/// keyed_normal_rows, added to out instead of written.
+void add_keyed_normal_rows(std::uint64_t key,
+                           std::span<const std::uint64_t> row_ids, float* out,
+                           std::size_t n, float stddev,
+                           std::uint32_t stream = 0);
 
 /// Names the sampler (generator, transform, version). Caches of results
 /// that depend on the noise bits put it in their fingerprint.
 inline constexpr const char* kKeyedNormalTag = "philox4x32-10+boxmuller-f32/1";
 
-/// Normals per parallel_for block of the pool entry points.
+/// Normals per parallel_for block of the row-grouped entry points.
 inline constexpr std::size_t kKeyedNormalGrain = 16384;
 
 }  // namespace gbo

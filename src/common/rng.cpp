@@ -1,9 +1,5 @@
 #include "common/rng.hpp"
 
-#include "common/thread_pool.hpp"
-
-#include <vector>
-
 namespace gbo {
 namespace {
 
@@ -74,35 +70,8 @@ double Rng::normal(double mean, double stddev) {
 }
 
 void Rng::fill_normal(float* out, std::size_t n, double mean, double stddev) {
-  if (n > 0 && has_cached_normal_) {
-    *out++ = static_cast<float>(normal(mean, stddev));
-    --n;
-  }
-  const std::size_t pairs = n / 2;
-  // (u1, u2) per pair, in the order normal() would draw them.
-  thread_local std::vector<double> uniforms;
-  uniforms.resize(2 * pairs);
-  double* u = uniforms.data();
-  for (std::size_t j = 0; j < pairs; ++j) {
-    double u1 = 0.0;
-    do {
-      u1 = uniform();
-    } while (u1 <= 0.0);
-    u[2 * j] = u1;
-    u[2 * j + 1] = uniform();
-  }
-  // normal()'s transform and normal(mean, stddev)'s affine map, verbatim.
-  parallel_for(0, pairs, kFillNormalGrain, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      const double r = std::sqrt(-2.0 * std::log(u[2 * j]));
-      const double theta = 2.0 * M_PI * u[2 * j + 1];
-      const double first = r * std::cos(theta);
-      const double second = r * std::sin(theta);
-      out[2 * j] = static_cast<float>(mean + stddev * first);
-      out[2 * j + 1] = static_cast<float>(mean + stddev * second);
-    }
-  });
-  if (n % 2 != 0) out[n - 1] = static_cast<float>(normal(mean, stddev));
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<float>(normal(mean, stddev));
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }

@@ -48,19 +48,10 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// out[i] = float(normal(mean, stddev)) for i in [0, n): bitwise the
-  /// values and the end state (cached second normal included) of n
-  /// sequential calls, at any pool width. A pending cached normal fills
-  /// out[0]; every Box-Muller uniform pair is then drawn serially (with
-  /// normal()'s u1 <= 0 rejection) into a per-thread buffer that is reused
-  /// across calls, and only the r·cos θ / r·sin θ transform runs in
-  /// fixed-grain parallel_for blocks — block boundaries never depend on the
-  /// thread count. An odd tail goes through normal(), which caches its
-  /// second value exactly as a sequential run would (DESIGN.md §3).
+  /// out[i] = float(normal(mean, stddev)) for i in [0, n): n sequential
+  /// calls, so the values and the end state (cached second normal
+  /// included) are bitwise theirs.
   void fill_normal(float* out, std::size_t n, double mean, double stddev);
-
-  /// Box-Muller pairs per parallel_for block of fill_normal.
-  static constexpr std::size_t kFillNormalGrain = 4096;
 
   /// Bernoulli draw with probability p of returning true.
   bool bernoulli(double p);

@@ -1,5 +1,6 @@
 #include "crossbar/crossbar_array.hpp"
 
+#include "common/keyed_normal.hpp"
 #include "common/thread_pool.hpp"
 #include "crossbar/ir_solver.hpp"
 
@@ -125,11 +126,20 @@ CrossbarArray::CrossbarArray(const Tensor& binary_weight, DeviceConfig cfg,
 }
 
 Tensor CrossbarArray::mvm_pulse(const Tensor& x, Rng& rng) const {
+  return mvm_pulse(x, rng(), 0);
+}
+
+Tensor CrossbarArray::mvm_pulse(const Tensor& x, std::uint64_t key,
+                                std::uint64_t first) const {
   if (x.ndim() != 2 || x.dim(1) != in_)
     throw std::invalid_argument("CrossbarArray::mvm_pulse: bad input " +
                                 x.shape_str());
   const std::size_t batch = x.dim(0);
   Tensor out({batch, out_});
+  std::vector<float> noise(read_noise_draws(batch));
+  keyed_normal(key, first, noise.data(), noise.size(),
+               static_cast<float>(cfg_.read_noise_sigma), kReadNoiseStream);
+  const float* rn = noise.data();
 
   if (cfg_.mapping == WeightMapping::kOffset) {
     // Offset read-out: per tile, one reference-column read shared by every
@@ -149,16 +159,14 @@ Tensor CrossbarArray::mvm_pulse(const Tensor& x, Rng& rng) const {
         double ref_current = 0.0;
         for (std::size_t j = j0; j < j1; ++j)
           ref_current += static_cast<double>(ref_g_[j]) * xv[j];
-        if (cfg_.read_noise_sigma > 0.0)
-          ref_current += rng.normal(0.0, cfg_.read_noise_sigma);
+        if (cfg_.read_noise_sigma > 0.0) ref_current += *rn++;
         ref_current = adc_quantize(cfg_, ref_current, auto_fs);
         for (std::size_t o = 0; o < out_; ++o) {
           const float* grow = raw_g_.data() + o * in_;
           double current = 0.0;
           for (std::size_t j = j0; j < j1; ++j)
             current += static_cast<double>(grow[j]) * xv[j];
-          if (cfg_.read_noise_sigma > 0.0)
-            current += rng.normal(0.0, cfg_.read_noise_sigma);
+          if (cfg_.read_noise_sigma > 0.0) current += *rn++;
           current = adc_quantize(cfg_, current, auto_fs);
           ov[o] += static_cast<float>((current - ref_current) * k);
         }
@@ -182,8 +190,7 @@ Tensor CrossbarArray::mvm_pulse(const Tensor& x, Rng& rng) const {
         double current = 0.0;
         for (std::size_t j = j0; j < j1; ++j)
           current += static_cast<double>(wrow[j]) * xv[j];
-        if (cfg_.read_noise_sigma > 0.0)
-          current += rng.normal(0.0, cfg_.read_noise_sigma);
+        if (cfg_.read_noise_sigma > 0.0) current += *rn++;
         total += adc_quantize(cfg_, current, auto_fs);
       }
       ov[o] = static_cast<float>(total);
@@ -194,29 +201,25 @@ Tensor CrossbarArray::mvm_pulse(const Tensor& x, Rng& rng) const {
 
 std::size_t CrossbarArray::read_noise_draws(std::size_t batch) const {
   if (cfg_.read_noise_sigma <= 0.0) return 0;
-  // Matches the consumption order in mvm_pulse: differential draws one
-  // normal per (row, output, tile); offset draws one per (row, tile) for
-  // the reference column plus one per (row, tile, output).
+  // Differential: one normal per (row, output, tile); offset: one per
+  // (row, tile) for the reference column plus one per (row, tile, output).
   return cfg_.mapping == WeightMapping::kOffset
              ? batch * num_tiles_ * (1 + out_)
              : batch * out_ * num_tiles_;
 }
 
-void CrossbarArray::fill_read_noise(std::size_t batch, Rng& rng,
-                                    double* buf) const {
-  const std::size_t draws = read_noise_draws(batch);
-  for (std::size_t i = 0; i < draws; ++i)
-    buf[i] = rng.normal(0.0, cfg_.read_noise_sigma);
+void CrossbarArray::fill_read_noise(std::uint64_t key,
+                                    std::span<const std::uint64_t> row_ids,
+                                    std::size_t batch, std::size_t pulses,
+                                    float* buf) const {
+  keyed_normal_rows(key, row_ids, buf, pulses * read_noise_draws(batch),
+                    static_cast<float>(cfg_.read_noise_sigma),
+                    kReadNoiseStream);
 }
 
 void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
-                                    const double* read_noise,
-                                    const PulseSink& sink) const {
-  mvm_pulse_train(pulses, read_noise, sink, 0, out_);
-}
-
-void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
-                                    const double* read_noise,
+                                    const float* read_noise,
+                                    std::size_t num_groups,
                                     const PulseSink& sink, std::size_t o_begin,
                                     std::size_t o_end) const {
   if (o_begin >= o_end || o_end > out_)
@@ -231,6 +234,9 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
       throw std::invalid_argument("CrossbarArray::mvm_pulse_train: bad pulse " +
                                   x.shape_str());
   if (batch == 0) return;
+  if (num_groups == 0 || batch % num_groups != 0)
+    throw std::invalid_argument(
+        "CrossbarArray::mvm_pulse_train: bad row group count");
   const bool noisy = cfg_.read_noise_sigma > 0.0;
   if (noisy && read_noise == nullptr)
     throw std::invalid_argument(
@@ -239,7 +245,15 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
 
   std::vector<const float*> xs(num_pulses);
   for (std::size_t p = 0; p < num_pulses; ++p) xs[p] = pulses[p].data();
-  const std::size_t stride = read_noise_draws(batch);  // draws per pulse
+  // Row n's read noise for pulse p sits at row_noise(n) + p · stride
+  // (fill_read_noise's group-major layout).
+  const std::size_t group_rows = batch / num_groups;
+  const std::size_t per_row = read_noise_draws(1);
+  const std::size_t stride = group_rows * per_row;  // draws per group pulse
+  auto row_noise = [&](std::size_t n) {
+    const std::size_t g = n / group_rows;
+    return read_noise + g * num_pulses * stride + (n - g * group_rows) * per_row;
+  };
 
   if (cfg_.mapping == WeightMapping::kOffset) {
     // Batch-major fusion of the offset read-out: per row, walk the raw
@@ -258,17 +272,18 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
       std::vector<float> row_acc(span * num_pulses);
       for (std::size_t n = lo; n < hi; ++n) {
         std::fill(row_acc.begin(), row_acc.end(), 0.0f);
+        const float* rn = noisy ? row_noise(n) : nullptr;
         for (std::size_t t = 0; t < num_tiles_; ++t) {
           const std::size_t j0 = t * tile_cols_;
           const std::size_t j1 = std::min(j0 + tile_cols_, in_);
           const std::size_t noise_base =
-              (n * num_tiles_ + t) * (1 + out_);  // [ref, out0, out1, ...]
+              t * (1 + out_);  // [ref, out0, out1, ...]
           for (std::size_t p = 0; p < num_pulses; ++p) {
             const float* xv = xs[p] + n * in_;
             double rc = 0.0;
             for (std::size_t j = j0; j < j1; ++j)
               rc += static_cast<double>(ref_g_[j]) * xv[j];
-            if (noisy) rc += read_noise[p * stride + noise_base];
+            if (noisy) rc += rn[p * stride + noise_base];
             ref_current[p] = adc_quantize(cfg_, rc, auto_fs);
           }
           for (std::size_t o = o_begin; o < o_end; ++o) {
@@ -278,8 +293,7 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
               double current = 0.0;
               for (std::size_t j = j0; j < j1; ++j)
                 current += static_cast<double>(grow[j]) * xv[j];
-              if (noisy)
-                current += read_noise[p * stride + noise_base + 1 + o];
+              if (noisy) current += rn[p * stride + noise_base + 1 + o];
               current = adc_quantize(cfg_, current, auto_fs);
               row_acc[(o - o_begin) * num_pulses + p] +=
                   static_cast<float>((current - ref_current[p]) * k);
@@ -309,6 +323,7 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
       const std::size_t o = o_begin + i % span;
       const std::size_t idx = n * out_ + o;
       const float* wrow = eff_weight_.data() + o * in_;
+      const float* rn = noisy ? row_noise(n) + o * num_tiles_ : nullptr;
       std::fill(total.begin(), total.end(), 0.0);
       for (std::size_t t = 0; t < num_tiles_; ++t) {
         const std::size_t j0 = t * tile_cols_;
@@ -318,9 +333,7 @@ void CrossbarArray::mvm_pulse_train(const std::vector<Tensor>& pulses,
           double current = 0.0;
           for (std::size_t j = j0; j < j1; ++j)
             current += static_cast<double>(wrow[j]) * xv[j];
-          if (noisy)
-            current +=
-                read_noise[p * stride + (n * out_ + o) * num_tiles_ + t];
+          if (noisy) current += rn[p * stride + t];
           total[p] += adc_quantize(cfg_, current, auto_fs);
         }
       }

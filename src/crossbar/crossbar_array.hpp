@@ -16,7 +16,9 @@
 #include "crossbar/device_model.hpp"
 #include "tensor/tensor.hpp"
 
+#include <cstdint>
 #include <functional>
+#include <span>
 
 namespace gbo::xbar {
 
@@ -33,22 +35,36 @@ class CrossbarArray {
   std::size_t cols() const { return in_; }    // input lines
   std::size_t num_tiles() const { return num_tiles_; }
 
+  /// Read noise is keyed (common/keyed_normal.hpp): the normals of a key
+  /// on stream kReadNoiseStream, one per (row, output, tile) for
+  /// differential mapping and one per (row, tile) reference read plus one
+  /// per (row, tile, output) for offset mapping, in that order.
+  static constexpr std::uint32_t kReadNoiseStream = 1;
+
   /// Computes output currents for a batch of bipolar input vectors
   /// x: [N, in], entries in {-1, +1} (one pulse). Applies read noise and
-  /// per-tile ADC per the device config; `rng` drives cycle-to-cycle noise.
-  /// This is the scalar reference path; the fused mvm_pulse_train below is
-  /// the fast path and must stay bitwise equivalent to it
-  /// (tests/test_mvm_equivalence.cpp).
+  /// per-tile ADC per the device config; the read noise is normals
+  /// [first, first + read_noise_draws(N)) of `key`. This is the scalar
+  /// reference path; the fused mvm_pulse_train below is the fast path and
+  /// must stay bitwise equivalent to it (tests/test_mvm_equivalence.cpp).
+  Tensor mvm_pulse(const Tensor& x, std::uint64_t key,
+                   std::uint64_t first = 0) const;
+  /// mvm_pulse keyed by one draw of `rng`.
   Tensor mvm_pulse(const Tensor& x, Rng& rng) const;
 
-  /// Number of read-noise RNG draws mvm_pulse consumes for one pulse of a
-  /// batch of `batch` rows (0 when read noise is disabled).
+  /// Number of read-noise normals mvm_pulse uses for one pulse of a batch
+  /// of `batch` rows (0 when read noise is disabled).
   std::size_t read_noise_draws(std::size_t batch) const;
 
-  /// Fills buf[0 .. read_noise_draws(batch)) with N(0, read_noise_sigma)
-  /// draws in exactly the order mvm_pulse consumes them, so the fused path
-  /// can replay one pulse's noise stream.
-  void fill_read_noise(std::size_t batch, Rng& rng, double* buf) const;
+  /// Fills buf[0 .. pulses · read_noise_draws(batch)) with the read noise
+  /// of a `pulses`-long train, split into row_ids.size() equal row groups
+  /// (one group when empty, DESIGN.md §3): group j's slice is keyed by
+  /// row_key(key, row_ids[j]) and laid out pulse-major, pulse p's draws for
+  /// the group's rows at p · read_noise_draws(rows) in mvm_pulse's order.
+  /// For one group, pulse p's slice is what mvm_pulse(x, key, p ·
+  /// read_noise_draws(batch)) draws.
+  void fill_read_noise(std::uint64_t key, std::span<const std::uint64_t> row_ids,
+                       std::size_t batch, std::size_t pulses, float* buf) const;
 
   /// Per-element consumer for mvm_pulse_train: `idx` = n * rows() + o, and
   /// `per_pulse[p]` is exactly the value mvm_pulse(pulses[p], ...) would
@@ -56,30 +72,23 @@ class CrossbarArray {
   using PulseSink =
       std::function<void(std::size_t idx, const float* per_pulse)>;
 
-  /// Fused multi-pulse MVM: computes mvm_pulse for every pulse tensor in
-  /// `pulses` (each [N, in]) in a single batch-major sweep of the weight
-  /// matrix — each weight tile is loaded once and accumulated against all
-  /// pulses while register/cache resident, instead of once per pulse — and
-  /// streams each element's per-pulse results to `sink` instead of
+  /// Fused multi-pulse MVM over output lines [o_begin, o_end): computes
+  /// mvm_pulse for every pulse tensor in `pulses` (each [N, in]) in a
+  /// single batch-major sweep of the weight matrix — each weight tile is
+  /// loaded once and accumulated against all pulses while register/cache
+  /// resident, instead of once per pulse — and streams each element's
+  /// per-pulse results to `sink` (global element indices) instead of
   /// materializing pulses.size() output tensors. `read_noise` must be null
-  /// when read noise is disabled, else hold pulses.size() *
-  /// read_noise_draws(N) values laid out pulse-major, each pulse's slice
-  /// filled by fill_read_noise. Values handed to the sink are bitwise
-  /// identical to calling mvm_pulse per pulse with the same noise stream,
-  /// at any thread count.
+  /// when read noise is disabled, else hold fill_read_noise's buffer for
+  /// `num_groups` row groups. Every element's computation and noise lookup
+  /// is keyed by its global coordinates, so a sharded sweep (ascending
+  /// disjoint ranges, see xbar::column_shards) is bitwise identical to the
+  /// full range, and the values handed to the sink are bitwise those of
+  /// mvm_pulse with the same noise, at any thread count.
   void mvm_pulse_train(const std::vector<Tensor>& pulses,
-                       const double* read_noise, const PulseSink& sink) const;
-
-  /// Output-range (bit-line shard) variant: computes only output lines in
-  /// [o_begin, o_end) and hands the sink the same global element indices.
-  /// `read_noise` still spans the FULL (row, output, tile) index space —
-  /// every element's computation and noise lookup is keyed by its global
-  /// coordinates, which is what makes a sharded sweep (ascending disjoint
-  /// ranges, see xbar::column_shards) bitwise identical to the unsharded
-  /// call above. The full-range call delegates here.
-  void mvm_pulse_train(const std::vector<Tensor>& pulses,
-                       const double* read_noise, const PulseSink& sink,
-                       std::size_t o_begin, std::size_t o_end) const;
+                       const float* read_noise, std::size_t num_groups,
+                       const PulseSink& sink, std::size_t o_begin,
+                       std::size_t o_end) const;
 
   /// The effective (post-programming) weight the array realizes in the
   /// sign domain: (G+ − G−) for differential mapping, (G − G_ref) ·

@@ -70,15 +70,10 @@ Tensor HardwareNetwork::forward(const Tensor& x, nn::EvalContext& ctx) const {
       next = module.infer(*in, ctx);
     } else {
       const MvmEngine& engine = *engines_[it->second];
-      // Per-sample streams (DESIGN.md §6): with row streams in the context
-      // each sample's pulse noise comes from its own request fork — for a
-      // conv layer the engine groups the sample's oh·ow patch rows onto one
-      // stream, exactly as a unit batch would consume them.
+      // With row ids, a conv layer's row group is one sample's oh·ow patch
+      // rows: the engine keys them by that sample's request id.
       auto run = [&](const Tensor& act) {
-        if (ctx.per_sample())
-          return engine.run_pulse_level(act, ctx.row_rngs.data(),
-                                        ctx.row_rngs.size(), ctx.arena);
-        return engine.run_pulse_level(act, ctx.rng, ctx.arena);
+        return engine.run_pulse_level(act, ctx.rng, ctx.arena, ctx.row_ids);
       };
       if (const quant::QuantConv2d* conv = conv_of_engine_[it->second]) {
         const std::size_t batch = in->dim(0);
@@ -128,10 +123,6 @@ float HardwareNetwork::evaluate(const data::Dataset& test,
     seen += n;
   }
   return static_cast<float>(correct) / static_cast<float>(seen);
-}
-
-bool HardwareNetwork::per_sample_capable() const {
-  return quant::hooks_support_row_streams(net_);
 }
 
 std::size_t HardwareNetwork::total_cells() const {

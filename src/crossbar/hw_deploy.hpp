@@ -68,9 +68,9 @@ class HardwareNetwork {
   Tensor forward(const Tensor& x);
 
   /// Const/shared-safe pulse-level inference: digital layers run the
-  /// stateless infer path, crossbar layers the const engine overload; all
-  /// randomness comes from ctx.rng (network order) and scratch recycles
-  /// through ctx.arena when attached.
+  /// stateless infer path, crossbar layers the const engine overload; every
+  /// noise site keys off ctx.rng (network order) and ctx.row_ids, and
+  /// scratch recycles through ctx.arena when attached.
   Tensor forward(const Tensor& x, nn::EvalContext& ctx) const;
 
   /// Classification accuracy over a dataset. Degenerate inputs (empty
@@ -79,18 +79,10 @@ class HardwareNetwork {
 
   /// True when no read-time stochastic term is configured (Eq. 1 sigma and
   /// device read noise both zero): forward results then depend only on the
-  /// frozen programmed state, never on the context stream. The serving
-  /// runtime uses this to fuse micro-batches into whole-tensor calls.
+  /// frozen programmed state, never on the context stream.
   bool deterministic() const {
     return cfg_.sigma <= 0.0 && cfg_.device.read_noise_sigma <= 0.0;
   }
-
-  /// True when every stochastic site of the const forward supports
-  /// per-sample row streams (DESIGN.md §6): the programmed engines always
-  /// do, so this only rejects a digital layer carrying a live noise hook
-  /// that cannot draw per row. The serving runtime then fuses stochastic
-  /// micro-batches instead of falling back to unit batches.
-  bool per_sample_capable() const;
 
   std::size_t num_crossbar_layers() const { return engines_.size(); }
 

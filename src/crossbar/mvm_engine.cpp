@@ -1,5 +1,6 @@
 #include "crossbar/mvm_engine.hpp"
 
+#include "common/keyed_normal.hpp"
 #include "crossbar/mapper.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -68,27 +69,15 @@ Tensor MvmEngine::run_pulse_level(const Tensor& activations) {
 }
 
 Tensor MvmEngine::run_pulse_level(const Tensor& activations, Rng& rng,
-                                  ScratchArena* arena) const {
-  return run_pulse_level_streams(activations, &rng, 1, arena);
-}
-
-Tensor MvmEngine::run_pulse_level(const Tensor& activations, Rng* row_rngs,
-                                  std::size_t num_streams,
-                                  ScratchArena* arena) const {
-  if (activations.ndim() != 2)
-    throw std::invalid_argument("MvmEngine: expected [N, in] activations, got " +
-                                activations.shape_str());
-  if (num_streams == 0 || activations.dim(0) % num_streams != 0)
-    throw std::invalid_argument(
-        "MvmEngine: batch must be a whole multiple of num_streams");
-  return run_pulse_level_streams(activations, row_rngs, num_streams, arena);
-}
-
-Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
-                                          Rng* rngs, std::size_t num_streams,
-                                          ScratchArena* arena) const {
+                                  ScratchArena* arena,
+                                  std::span<const std::uint64_t> row_ids) const {
   enc::PulseTrain train = encode_train(activations, arena);
+  const std::uint64_t key = rng();
   const std::size_t batch = activations.dim(0);
+  const std::size_t groups = row_ids.empty() ? 1 : row_ids.size();
+  if (batch % groups != 0)
+    throw std::invalid_argument(
+        "MvmEngine: row ids do not split the batch evenly");
   const std::size_t out_n = array_.rows();
   // An empty pulse train (num_pulses == 0) contributes no current: the
   // decoded result is exactly zero, not a default-constructed tensor.
@@ -102,67 +91,50 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
   const std::size_t bn = batch * out_n;
   const bool has_sigma = cfg_.sigma > 0.0;
 
-  // Pre-draw every stochastic term in exactly the order the per-pulse
-  // reference path consumes its rng: for each pulse, first the crossbar's
-  // read noise, then the Eq. 1 output noise (the latter cast to float at
-  // draw time, matching the reference's cast at add time). This frees the
-  // fused sweep below to visit pulses in weight-tile order while staying
-  // bitwise identical to run_pulse_level_reference for the same seed.
-  // With per-sample streams (num_streams > 1, DESIGN.md §6) the same order
-  // is replayed per sample group from that sample's own generator — each
-  // group's draws land in its contiguous slice of the pulse-major buffers,
-  // so the sweep below is oblivious to how the noise was drawn.
-  // The draw buffers are the pulse path's largest transients; with an arena
-  // they are bump scratch instead of per-call vectors.
-  const std::size_t stride = array_.read_noise_draws(batch);
-  const std::size_t group = batch / num_streams;
-  const std::size_t group_rn = array_.read_noise_draws(group);
-  const std::size_t group_bn = group * out_n;
+  // Keyed noise for the whole train, one call per kind, group-major and
+  // pulse-major within a group (DESIGN.md §3); with an arena the buffers
+  // are bump scratch instead of per-call vectors.
+  const std::size_t read_n = num_pulses * array_.read_noise_draws(batch);
+  const std::size_t out_noise_n = has_sigma ? num_pulses * bn : 0;
   ArenaFrame frame(arena);
-  std::vector<double> read_noise_own;
-  std::vector<float> out_noise_own;
-  double* read_noise;
+  std::vector<float> read_noise_own, out_noise_own;
+  float* read_noise;
   float* out_noise;
   if (arena) {
-    read_noise = arena->alloc_doubles(stride * num_pulses);
-    out_noise = arena->alloc_floats(has_sigma ? num_pulses * bn : 0);
+    read_noise = arena->alloc_floats(read_n);
+    out_noise = arena->alloc_floats(out_noise_n);
   } else {
-    read_noise_own.resize(stride * num_pulses);
-    out_noise_own.resize(has_sigma ? num_pulses * bn : 0);
+    read_noise_own.resize(read_n);
+    out_noise_own.resize(out_noise_n);
     read_noise = read_noise_own.data();
     out_noise = out_noise_own.data();
   }
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    Rng& rng = rngs[s];
-    for (std::size_t i = 0; i < num_pulses; ++i) {
-      if (stride > 0)
-        array_.fill_read_noise(group, rng,
-                               read_noise + i * stride + s * group_rn);
-      if (has_sigma) {
-        float* sn = out_noise + i * bn + s * group_bn;
-        for (std::size_t j = 0; j < group_bn; ++j)
-          sn[j] = static_cast<float>(rng.normal(0.0, cfg_.sigma));
-      }
-    }
-  }
+  if (read_n > 0)
+    array_.fill_read_noise(key, row_ids, batch, num_pulses, read_noise);
+  if (has_sigma)
+    keyed_normal_rows(key, row_ids, out_noise, out_noise_n,
+                      static_cast<float>(cfg_.sigma), kOutputNoiseStream);
 
   const std::vector<float>& w = norm_weights_;
 
   // One fused batch-major sweep of the weight matrix for all pulses; the
   // sink decodes each element in place (peripheral scale, Eq. 1 noise,
-  // weighted pulse sum — the same float operations, in the same order, as
-  // the reference path's per-tensor loops), so no per-pulse output tensors
-  // are ever materialized.
+  // weighted pulse sum), so no per-pulse output tensors are ever
+  // materialized. Element idx of group g takes pulse p's Eq. 1 noise at
+  // g · num_pulses · group_bn + p · group_bn + (idx − g · group_bn).
   Tensor out = arena ? arena->take({batch, out_n}) : Tensor({batch, out_n});
   float* po = out.data();
-  const float* on = out_noise;
+  const std::size_t group_bn = bn / groups;
   const CrossbarArray::PulseSink decode =
       [&](std::size_t idx, const float* per_pulse) {
+        const std::size_t g = idx / group_bn;
+        const float* on =
+            out_noise + g * (num_pulses - 1) * group_bn + idx;
         float acc = 0.0f;
         for (std::size_t p = 0; p < num_pulses; ++p) {
           float y = per_pulse[p];
           y *= scale_;
-          if (has_sigma) y += on[p * bn + idx];
+          if (has_sigma) y += on[p * group_bn];
           if (p == 0) {
             acc = y * w[0];
           } else {
@@ -171,9 +143,9 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
         }
         po[idx] = acc;
       };
-  const double* rn = stride > 0 ? read_noise : nullptr;
+  const float* rn = read_n > 0 ? read_noise : nullptr;
   if (cfg_.shard_cols == 0 || cfg_.shard_cols >= out_n) {
-    array_.mvm_pulse_train(train.pulses, rn, decode);
+    array_.mvm_pulse_train(train.pulses, rn, groups, decode, 0, out_n);
   } else {
     // Column-sharded execution (DESIGN.md §10): the mapper fixes the shard
     // geometry, each shard is a range-restricted sweep of the same
@@ -182,46 +154,15 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
     TileShape tile;
     tile.cols = cfg_.shard_cols;
     for (const auto& shard : column_shards(out_n, tile))
-      array_.mvm_pulse_train(train.pulses, rn, decode, shard.first,
+      array_.mvm_pulse_train(train.pulses, rn, groups, decode, shard.first,
                              shard.second);
   }
   // Return the encode buffers to the worker's pool: after a warm-up
-  // request, the pulse path's tensors — encode buffers, noise pre-draws,
+  // request, the pulse path's tensors — encode buffers, noise buffers,
   // output — come entirely from the arena; the only remaining per-request
   // heap touch is the few-byte pulse-handle vector header (DESIGN.md §4).
   if (arena)
     for (Tensor& p : train.pulses) arena->put(std::move(p));
-  return out;
-}
-
-Tensor MvmEngine::run_pulse_level_reference(const Tensor& activations) {
-  return run_pulse_level_reference(activations, rng_);
-}
-
-Tensor MvmEngine::run_pulse_level_reference(const Tensor& activations,
-                                            Rng& rng) const {
-  enc::PulseTrain train = encode_train(activations);
-  if (train.pulses.empty()) return Tensor({activations.dim(0), array_.rows()});
-
-  const std::vector<float>& w = norm_weights_;
-
-  Tensor out;
-  for (std::size_t i = 0; i < train.pulses.size(); ++i) {
-    // One crossbar read per pulse, in sign-current domain.
-    Tensor y = array_.mvm_pulse(train.pulses[i], rng);
-    // Peripheral scaling back to the weight domain, then the Eq. 1 noise.
-    ops::scale_inplace(y, scale_);
-    if (cfg_.sigma > 0.0) {
-      float* p = y.data();
-      for (std::size_t j = 0; j < y.numel(); ++j)
-        p[j] += static_cast<float>(rng.normal(0.0, cfg_.sigma));
-    }
-    if (i == 0) {
-      out = ops::scale(y, w[i]);
-    } else {
-      ops::axpy_inplace(out, w[i], y);
-    }
-  }
   return out;
 }
 
@@ -231,6 +172,7 @@ Tensor MvmEngine::run_analytic(const Tensor& activations) {
 
 Tensor MvmEngine::run_analytic(const Tensor& activations, Rng& rng) const {
   Tensor snapped = encode_and_snap(activations);
+  const std::uint64_t key = rng();
   // Expected MVM uses the *effective* (post-programming) weights so the
   // analytic mode reproduces frozen device variation too, then adds the
   // closed-form accumulated Gaussian noise (Eq. 2 / Eq. 3).
@@ -238,9 +180,8 @@ Tensor MvmEngine::run_analytic(const Tensor& activations, Rng& rng) const {
   ops::scale_inplace(out, scale_);
   if (cfg_.sigma > 0.0) {
     const double std = cfg_.sigma * std::sqrt(cfg_.spec.noise_variance_factor());
-    float* p = out.data();
-    for (std::size_t i = 0; i < out.numel(); ++i)
-      p[i] += static_cast<float>(rng.normal(0.0, std));
+    add_keyed_normal_rows(key, {}, out.data(), out.numel(),
+                          static_cast<float>(std), kOutputNoiseStream);
   }
   return out;
 }

@@ -16,6 +16,9 @@
 #include "encoding/thermometer.hpp"
 #include "tensor/arena.hpp"
 
+#include <cstdint>
+#include <span>
+
 namespace gbo::xbar {
 
 struct MvmConfig {
@@ -38,44 +41,40 @@ class MvmEngine {
   /// `rng` seeds both programming-time variation and read-time noise.
   MvmEngine(const Tensor& binary_weight, MvmConfig cfg, Rng rng);
 
+  /// The Eq. 1 output noise and run_analytic's accumulated noise are the
+  /// normals of a call's key on this stream (the read noise uses
+  /// CrossbarArray::kReadNoiseStream of the same key).
+  static constexpr std::uint32_t kOutputNoiseStream = 0;
+
   /// Ground truth: pulse-level execution. activations: [N, in] values in
   /// [-1, 1]; returns [N, out] decoded currents scaled back to the weight
-  /// domain (times s). Internally fused batch-major (one weight-matrix
-  /// sweep per batch row for the whole pulse train); bitwise identical to
-  /// run_pulse_level_reference for the same seed, at any thread count.
-  /// An empty pulse train yields an explicit zero [N, out] result.
+  /// domain (times s), fused batch-major (one weight-matrix sweep per batch
+  /// row for the whole pulse train) at any thread count. An empty pulse
+  /// train yields an explicit zero [N, out] result.
   ///
-  /// Each stochastic mode comes in two flavours: the classic one consuming
-  /// the engine-owned stream (rng_), and a const overload drawing every
-  /// stochastic term from a caller-supplied Rng — the stateless-inference
-  /// variant, safe to call concurrently with distinct generators over one
-  /// programmed array (the frozen device state is read-only). The const
-  /// overload optionally routes its pre-drawn noise buffers and the output
-  /// through a caller-owned scratch arena (serving workers; results are
-  /// bitwise identical with and without one).
+  /// Keyed noise (DESIGN.md §3): each call takes one key from `rng`. With
+  /// empty `row_ids` the batch is one group under that key; otherwise it
+  /// splits into row_ids.size() equal row groups (a conv layer's per-sample
+  /// patch rows), group j keyed by row_key(key, row_ids[j]), so a group's
+  /// result is bitwise that of running it alone with {row_ids[j]}. Within
+  /// a group, pulse p's read noise and Eq. 1 noise are the normals at
+  /// p · len + i of their stream, len being the group's per-pulse count,
+  /// so tests/oracles/pulse_oracle.cpp replays the call one crossbar read
+  /// per pulse through the public API. Throws std::invalid_argument when
+  /// the ids do not split the batch evenly.
+  ///
+  /// Const and shared-safe: the frozen device state is read-only, so
+  /// distinct generators may run concurrently over one programmed array.
+  /// The noise buffers and the output recycle through `arena` when given
+  /// (bitwise identical with and without one). The mutable overload draws
+  /// its key from the engine-owned stream.
   Tensor run_pulse_level(const Tensor& activations);
   Tensor run_pulse_level(const Tensor& activations, Rng& rng,
-                         ScratchArena* arena = nullptr) const;
+                         ScratchArena* arena = nullptr,
+                         std::span<const std::uint64_t> row_ids = {}) const;
 
-  /// Per-sample stream variant (DESIGN.md §6): activations [N, in] with
-  /// N = num_streams · g for some whole g (g > 1 when a conv layer feeds
-  /// its per-sample patch rows through one call). Sample s's read and
-  /// output noise is drawn from row_rngs[s] in exactly the order the
-  /// single-stream overload draws it for a unit batch holding sample s
-  /// alone, so fused stochastic micro-batches are bitwise row-equal to
-  /// per-request execution at any batch composition. num_streams == 1 with
-  /// rng == &row_rngs[0] degenerates to the overload above.
-  Tensor run_pulse_level(const Tensor& activations, Rng* row_rngs,
-                         std::size_t num_streams,
-                         ScratchArena* arena = nullptr) const;
-
-  /// Retained pre-fusion scalar path (one crossbar read per pulse). Kept as
-  /// the equivalence oracle for tests and as a debugging fallback; consumes
-  /// its rng in the same order as run_pulse_level.
-  Tensor run_pulse_level_reference(const Tensor& activations);
-  Tensor run_pulse_level_reference(const Tensor& activations, Rng& rng) const;
-
-  /// Fast path: exact expected MVM + equivalent accumulated Gaussian noise.
+  /// Fast path: exact expected MVM plus the accumulated Gaussian noise,
+  /// keyed by one draw of `rng`.
   Tensor run_analytic(const Tensor& activations);
   Tensor run_analytic(const Tensor& activations, Rng& rng) const;
 
@@ -86,14 +85,6 @@ class MvmEngine {
   const CrossbarArray& array() const { return array_; }
 
  private:
-  /// Shared pulse-level body: draws per-stream noise (stream s covers
-  /// batch/num_streams consecutive rows), then runs the fused batch-major
-  /// sweep. Both public overloads funnel here; num_streams == 1 reproduces
-  /// the historical single-stream draw order exactly.
-  Tensor run_pulse_level_streams(const Tensor& activations, Rng* rngs,
-                                 std::size_t num_streams,
-                                 ScratchArena* arena) const;
-
   Tensor encode_and_snap(const Tensor& activations) const;
   /// Validates [N, in] shape and encodes per the configured scheme. With an
   /// arena, the pulse tensors are recycled through its pool (run_pulse_level

@@ -20,9 +20,10 @@ void GaussianNoiseHook::snap_input(Tensor& x) const {
   }
 }
 
-void GaussianNoiseHook::add_output_noise(Tensor& out, Rng& rng) const {
+void GaussianNoiseHook::add_output_noise(
+    Tensor& out, Rng& rng, std::span<const std::uint64_t> row_ids) const {
   if (sigma_ <= 0.0) return;
-  add_keyed_normal_parallel(rng(), 0, out.data(), out.numel(), noise_std());
+  add_keyed_normal_rows(rng(), row_ids, out.data(), out.numel(), noise_std());
 }
 
 float GaussianNoiseHook::noise_std() const {
@@ -36,7 +37,7 @@ void GaussianNoiseHook::on_input(Tensor& x) {
 
 void GaussianNoiseHook::on_forward(Tensor& out) {
   if (!enabled_) return;
-  add_output_noise(out, rng_);
+  add_output_noise(out, rng_, {});
 }
 
 void GaussianNoiseHook::infer_input(Tensor& x, Rng& /*rng*/) const {
@@ -44,23 +45,10 @@ void GaussianNoiseHook::infer_input(Tensor& x, Rng& /*rng*/) const {
   snap_input(x);
 }
 
-void GaussianNoiseHook::infer_output(Tensor& out, Rng& rng) const {
+void GaussianNoiseHook::infer_output(
+    Tensor& out, Rng& rng, std::span<const std::uint64_t> row_ids) const {
   if (!enabled_) return;
-  add_output_noise(out, rng);
-}
-
-void GaussianNoiseHook::infer_output_rows(Tensor& out, Rng* rngs,
-                                          std::size_t num_streams) const {
-  if (!enabled_ || sigma_ <= 0.0) return;  // no draws, matching unit batches
-  if (num_streams == 0 || out.ndim() == 0 || out.dim(0) != num_streams)
-    throw std::invalid_argument(
-        "GaussianNoiseHook::infer_output_rows: stream/batch mismatch");
-  const float std = noise_std();
-  const std::size_t row = out.numel() / num_streams;
-  // Row r takes its key from rngs[r] and indexes from 0 — exactly the draw
-  // infer_output makes for a unit batch holding row r.
-  for (std::size_t r = 0; r < num_streams; ++r)
-    add_keyed_normal(rngs[r](), 0, out.data() + r * row, row, std);
+  add_output_noise(out, rng, row_ids);
 }
 
 }  // namespace gbo::xbar

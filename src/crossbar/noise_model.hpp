@@ -47,20 +47,13 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
   void on_forward(Tensor& out) override;
 
   /// Stateless counterparts (Module::infer path): identical transforms, the
-  /// noise drawn from the per-trial context stream instead of the member
-  /// generator. Const, so one hook serves concurrent trial contexts.
+  /// noise keyed by one draw from the per-trial context stream instead of
+  /// the member generator, and split into per-request row groups by
+  /// `row_ids` (MvmNoiseHook::infer_output). Const, so one hook serves
+  /// concurrent trial contexts.
   void infer_input(Tensor& x, Rng& rng) const override;
-  void infer_output(Tensor& out, Rng& rng) const override;
-
-  /// Per-sample streams (DESIGN.md §6): row r's noise is keyed by one draw
-  /// from rngs[r] and indexed from 0 within the row — for each row, the
-  /// noise infer_output adds to a unit batch.
-  void infer_output_rows(Tensor& out, Rng* rngs,
-                         std::size_t num_streams) const override;
-
-  /// infer_input only snaps (no draws) and infer_output_rows is
-  /// implemented, so stochastic micro-batches may fuse over this hook.
-  bool supports_row_streams() const override { return true; }
+  void infer_output(Tensor& out, Rng& rng,
+                    std::span<const std::uint64_t> row_ids = {}) const override;
 
   /// Draws from the context stream only when enabled with sigma > 0.
   bool stochastic() const override { return enabled_ && sigma_ > 0.0; }
@@ -68,7 +61,8 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
  private:
   /// Shared bodies; both execution paths run exactly these float ops.
   void snap_input(Tensor& x) const;
-  void add_output_noise(Tensor& out, Rng& rng) const;
+  void add_output_noise(Tensor& out, Rng& rng,
+                        std::span<const std::uint64_t> row_ids) const;
   /// σ · √(variance_factor), the per-element noise std.
   float noise_std() const;
 

@@ -12,9 +12,15 @@
 // RNG-fork contract (DESIGN.md §3): a trial's context is seeded as
 // fork(seed, trial_id) from a controller-owned root stream, so trial t
 // draws an identical noise stream whether trials run sequentially or in
-// parallel, at any thread count. Within one forward pass the layers consume
-// ctx.rng in network order, which is fixed, so a (seed, trial_id) pair
-// fully determines every sample of the trial.
+// parallel, at any thread count. Within one forward pass every noise site
+// takes one key per call from ctx.rng in network order, which is fixed,
+// and its normals are a pure function of (key, index) — so a (seed,
+// trial_id) pair fully determines every sample of the trial.
+//
+// Row ids (DESIGN.md §3): a serving batch carries one request id per
+// sample. Each site then splits its noise into per-request row groups
+// keyed by (site key, request id), so a request's noise does not depend on
+// which other requests share its batch.
 //
 // Scratch arena (DESIGN.md §4): a long-lived context may attach a
 // worker-owned ScratchArena; the layers then route their temporaries
@@ -27,29 +33,23 @@
 #include "common/rng.hpp"
 #include "tensor/arena.hpp"
 
+#include <cstdint>
 #include <vector>
 
 namespace gbo::nn {
 
 struct EvalContext {
-  /// Deterministic per-context stream; consumed in network order by every
-  /// stochastic component of the inference path (noise hooks, pulse-level
-  /// crossbar reads).
+  /// Deterministic per-context stream; every stochastic component of the
+  /// inference path (noise hooks, pulse-level crossbar reads) takes one
+  /// key per call from it, in network order.
   Rng rng;
 
-  /// Per-sample RNG streams (DESIGN.md §6): when non-empty, the batch rows
-  /// of this inference belong to row_rngs.size() independent requests and
-  /// every stochastic site draws row r's noise from row_rngs[r] (each
-  /// stream consumed in network order across sites), never from `rng`. The
-  /// serving runtime populates them as fork(seed, request_id) per row,
-  /// which makes a fused micro-batch bitwise row-equal to per-request
-  /// execution: for a unit batch the single row stream is consumed exactly
-  /// as `rng` would be, so the classic per-request contract is a special
-  /// case. Empty (the default) preserves single-stream behaviour exactly.
-  std::vector<Rng> row_rngs;
-
-  /// True when stochastic sites must use the per-sample streams.
-  bool per_sample() const { return !row_rngs.empty(); }
+  /// Request ids of the batch rows. Empty: the batch is one noise group.
+  /// Otherwise the batch splits into row_ids.size() equal groups of rows
+  /// (a conv layer's group is one sample's oh·ow patch rows), and group j's
+  /// noise at a site is keyed by (site key, row_ids[j]) and indexed from 0,
+  /// so it is bitwise what a unit batch with {row_ids[j]} draws.
+  std::vector<std::uint64_t> row_ids;
 
   /// Optional worker-owned scratch arena (never shared between threads);
   /// nullptr preserves the plain allocating behaviour exactly.

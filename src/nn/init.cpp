@@ -6,11 +6,6 @@
 
 namespace gbo::nn {
 
-void kaiming_normal(Tensor& w, std::size_t fan_in, Rng& rng) {
-  const float std = std::sqrt(2.0f / static_cast<float>(fan_in));
-  ops::fill_normal(w, rng, 0.0f, std);
-}
-
 void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng) {
   const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
   ops::fill_uniform(w, rng, -a, a);

@@ -6,10 +6,6 @@
 
 namespace gbo::nn {
 
-/// Kaiming/He normal init: N(0, sqrt(2 / fan_in)). Appropriate for layers
-/// followed by ReLU-like activations.
-void kaiming_normal(Tensor& w, std::size_t fan_in, Rng& rng);
-
 /// Xavier/Glorot uniform init: U(-a, a) with a = sqrt(6 / (fan_in+fan_out)).
 /// Appropriate for Tanh networks (used by the paper's BWNN).
 void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng);

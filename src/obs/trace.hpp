@@ -2,7 +2,7 @@
 //
 // The serving runtime makes dozens of invisible decisions per request —
 // admission, eviction, deadline shed, ladder level, retry/breaker routing,
-// fusion mode, binary-vs-float kernel dispatch — and the kernel layer adds
+// binary-vs-float kernel dispatch — and the kernel layer adds
 // its own (packed GEMM, XNOR/popcount MVM, pulse encode). This module gives
 // every one of them a low-overhead event channel:
 //

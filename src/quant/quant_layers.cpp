@@ -12,17 +12,6 @@
 namespace gbo::quant {
 namespace {
 
-/// Hook dispatch shared by both quant layers: per-sample row streams when
-/// the context carries them (fused stochastic serving, DESIGN.md §6), the
-/// classic single-stream draw otherwise.
-void apply_output_hook(const MvmNoiseHook& hook, Tensor& out,
-                       gbo::nn::EvalContext& ctx) {
-  if (ctx.per_sample())
-    hook.infer_output_rows(out, ctx.row_rngs.data(), ctx.row_rngs.size());
-  else
-    hook.infer_output(out, ctx.rng);
-}
-
 /// The digital-scale epilogue (DESIGN.md §8): one elementwise multiply after
 /// the unscaled ±1 MVM. Shared verbatim by forward and infer — the multiply
 /// is per-element, so the two paths (and the binary/float MVM routes
@@ -49,25 +38,10 @@ T* scratch(gbo::nn::EvalContext& ctx, std::size_t n, std::vector<T>& own) {
 
 }  // namespace
 
-void MvmNoiseHook::infer_output(Tensor& /*out*/, Rng& /*rng*/) const {
+void MvmNoiseHook::infer_output(Tensor& /*out*/, Rng& /*rng*/,
+                                std::span<const std::uint64_t> /*row_ids*/) const {
   throw std::logic_error(
       "MvmNoiseHook: this hook does not support stateless inference");
-}
-
-void MvmNoiseHook::infer_output_rows(Tensor& /*out*/, Rng* /*rngs*/,
-                                     std::size_t /*num_streams*/) const {
-  throw std::logic_error(
-      "MvmNoiseHook: this hook does not support per-sample row streams");
-}
-
-bool hooks_support_row_streams(const gbo::nn::Module& m) {
-  if (const auto* h = dynamic_cast<const Hookable*>(&m))
-    if (h->noise_hook() != nullptr && h->noise_hook()->stochastic() &&
-        !h->noise_hook()->supports_row_streams())
-      return false;
-  for (const gbo::nn::Module* child : m.children())
-    if (!hooks_support_row_streams(*child)) return false;
-  return true;
 }
 
 void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
@@ -202,7 +176,7 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   Tensor out = infer_mvm(xin, ctx, bw, panels, *bwords);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
-  apply_output_hook(*hook_, out, ctx);
+  hook_->infer_output(out, ctx.rng, ctx.row_ids);
   return out;
 }
 
@@ -287,7 +261,7 @@ Tensor QuantLinear::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   Tensor out = infer_mvm(xin, ctx, bw, panels, *bwords);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
-  apply_output_hook(*hook_, out, ctx);
+  hook_->infer_output(out, ctx.rng, ctx.row_ids);
   return out;
 }
 

@@ -24,6 +24,8 @@
 #include "tensor/gemm_binary.hpp"
 
 #include <atomic>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gbo::quant {
@@ -52,28 +54,21 @@ class MvmNoiseHook {
   // -- stateless inference path ---------------------------------------------
   // Counterparts of on_input/on_forward used by Module::infer: identical
   // transforms, but const on the hook with every random draw taken from the
-  // caller's per-trial EvalContext stream, so one hook instance can serve
-  // any number of concurrent inference contexts. Training-only hooks (the
-  // GBO λ mixture states) keep the defaults: input pass-through, and a
+  // caller's per-trial EvalContext, so one hook instance can serve any
+  // number of concurrent inference contexts. Training-only hooks (the GBO
+  // λ mixture states) keep the defaults: input pass-through, and a
   // throwing infer_output — λ training has no stateless evaluation mode.
 
   virtual void infer_input(Tensor& /*x*/, Rng& /*rng*/) const {}
-  virtual void infer_output(Tensor& out, Rng& rng) const;
 
-  /// Per-sample-stream counterpart of infer_output (DESIGN.md §6): `out`
-  /// holds one batch row per entry of rngs[0..num_streams); row r's draws
-  /// must come from rngs[r] and be exactly the draws infer_output would
-  /// take for a unit batch holding row r alone, so a fused micro-batch is
-  /// bitwise row-equal to per-request execution. Default throws — a hook
-  /// opts in via supports_row_streams().
-  virtual void infer_output_rows(Tensor& out, Rng* rngs,
-                                 std::size_t num_streams) const;
-
-  /// True when (a) infer_input draws nothing from its Rng and (b)
-  /// infer_output_rows is implemented. The serving runtime fuses stochastic
-  /// micro-batches only when every attached hook agrees
-  /// (serve/backend.hpp).
-  virtual bool supports_row_streams() const { return false; }
+  /// Adds the output noise, keyed by one draw from `rng` (DESIGN.md §3).
+  /// `row_ids` is EvalContext::row_ids: empty means one noise group over
+  /// the whole tensor; otherwise `out` splits into row_ids.size() equal
+  /// groups of batch rows, group j keyed by row_key(key, row_ids[j]) and
+  /// indexed from 0, so a fused batch is bitwise row-equal to running each
+  /// request alone.
+  virtual void infer_output(Tensor& out, Rng& rng,
+                            std::span<const std::uint64_t> row_ids = {}) const;
 
   /// True when infer_input/infer_output may draw from the caller's Rng in
   /// the current configuration. Conservative default: any attached hook is
@@ -144,14 +139,6 @@ class Hookable {
   /// The latent (pre-binarization) weight parameter, for STE clamping.
   virtual gbo::nn::Param& latent_weight() = 0;
 };
-
-/// True when every live (stochastic) noise hook reachable from `m` — the
-/// module itself and its children, recursively — supports per-sample row
-/// streams. The single capability predicate the serving backends and
-/// HardwareNetwork consult before fusing stochastic micro-batches
-/// (DESIGN.md §6); crossbar engines are always capable, so only an
-/// opted-out hook can veto fusion.
-bool hooks_support_row_streams(const gbo::nn::Module& m);
 
 class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
  public:

@@ -18,17 +18,13 @@
 // quarantine, or exhausted retries. Both are plain Backends — nothing here
 // knows about the ladder; routing is the control plane's job.
 //
-// fusion_mode() tells the server how run() may execute micro-batches.
-// Deterministic backends fuse into one whole-tensor call: every kernel in
-// the infer path computes each batch row independently (row-stable GEMM
-// dispatch, per-sample im2col/BN/pooling, elementwise activations), so the
-// fused result is bitwise equal row-for-row to unit-batch execution — the
-// batching-boundary half of the serving determinism contract, enforced by
-// tests/test_serve.cpp. Stochastic configurations fuse too when every
-// noise site supports per-sample row streams (DESIGN.md §6): each batch
-// row draws from its own (seed, request_id) fork, which makes outputs
-// independent of batch composition by construction. Only backends with
-// opaque stochastic state fall back to unit-batch execution.
+// Every backend runs each micro-batch as one whole-tensor call. Clean
+// inference is row-equal to unit batches because every kernel in the infer
+// path computes each batch row independently (row-stable GEMM dispatch,
+// per-sample im2col/BN/pooling, elementwise activations). Noisy inference
+// is too, because every noise site keys a row's noise by its request id
+// (EvalContext::row_ids, DESIGN.md §3). tests/test_serve.cpp enforces
+// both halves of this batching-boundary contract.
 #pragma once
 
 #include "crossbar/crossbar_layers.hpp"
@@ -40,14 +36,9 @@
 
 namespace gbo::serve {
 
-/// How the server may execute micro-batches (frozen at warmup):
-///   kFused          — run() draws nothing: whole-tensor fusion, no streams.
-///   kFusedPerSample — run() draws, but every stochastic site supports
-///                     per-sample row streams (DESIGN.md §6): batches fuse
-///                     with ctx.row_rngs = fork(seed, request_id) per row,
-///                     bitwise row-equal to per-request execution.
-///   kPerRequest     — opaque stochastic state: unit batches only.
-enum class FusionMode { kFused, kFusedPerSample, kPerRequest };
+/// Has one value and no effect: every batch fuses. Kept only because the
+/// benchmark harness under perfbench/ still overrides fusion_mode().
+enum class FusionMode { kFused };
 
 class Backend {
  public:
@@ -55,15 +46,11 @@ class Backend {
 
   virtual std::string name() const = 0;
 
-  /// True when run() draws nothing from ctx.rng; enables fused batching.
+  /// True when run()'s results do not depend on ctx.rng or ctx.row_ids.
   virtual bool deterministic() const = 0;
 
-  /// Conservative default: fuse only when fully deterministic. Backends
-  /// whose stochastic sites all honour EvalContext::row_rngs override this
-  /// to kFusedPerSample so noisy configurations batch their GEMMs too.
-  virtual FusionMode fusion_mode() const {
-    return deterministic() ? FusionMode::kFused : FusionMode::kPerRequest;
-  }
+  /// No effect; see FusionMode.
+  virtual FusionMode fusion_mode() const { return FusionMode::kFused; }
 
   /// Logits for a [B, ...] input batch. Must not mutate shared state.
   virtual Tensor run(const Tensor& x, nn::EvalContext& ctx) const = 0;
@@ -74,8 +61,7 @@ class Backend {
 /// LayerNoiseController with sigma > 0 and noise enabled). The flag is a
 /// promise about *intent*; deterministic() additionally walks the whole
 /// module tree (Hookable hooks, CrossbarLinear engines, nested containers
-/// via Module::children), so a forgotten flag cannot silently fuse batches
-/// over live noise hooks.
+/// via Module::children), so a forgotten flag cannot hide live noise hooks.
 class AnalyticBackend : public Backend {
  public:
   AnalyticBackend(const nn::Sequential& net, bool stochastic = true)
@@ -86,15 +72,6 @@ class AnalyticBackend : public Backend {
   }
   bool deterministic() const override {
     return !stochastic_ && !module_stochastic(net_);
-  }
-  /// Stochastic configurations still fuse when every live noise hook
-  /// supports per-sample row streams (CrossbarLinear engines always do);
-  /// an opted-out hook falls back to unit batches, never to wrong fusion.
-  FusionMode fusion_mode() const override {
-    if (deterministic()) return FusionMode::kFused;
-    return quant::hooks_support_row_streams(net_)
-               ? FusionMode::kFusedPerSample
-               : FusionMode::kPerRequest;
   }
   Tensor run(const Tensor& x, nn::EvalContext& ctx) const override {
     return net_.infer(x, ctx);
@@ -126,11 +103,6 @@ class PulseBackend : public Backend {
 
   std::string name() const override { return "pulse"; }
   bool deterministic() const override { return hw_.deterministic(); }
-  FusionMode fusion_mode() const override {
-    if (deterministic()) return FusionMode::kFused;
-    return hw_.per_sample_capable() ? FusionMode::kFusedPerSample
-                                    : FusionMode::kPerRequest;
-  }
   Tensor run(const Tensor& x, nn::EvalContext& ctx) const override {
     return hw_.forward(x, ctx);
   }

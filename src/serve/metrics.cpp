@@ -165,7 +165,6 @@ Json ServeReport::to_json() const {
   j.set("mean_batch", mean_batch);
   j.set("exec_calls", exec_calls);
   j.set("mean_exec_batch", mean_exec_batch);
-  j.set("fusion", fusion);
   j.set("arena", arena.to_json());
   if (slo.enabled) j.set("slo", slo.to_json());
   if (swap.enabled) j.set("swap", swap.to_json());

@@ -42,15 +42,6 @@ std::uint8_t reason_code(ShedReason r) {
   return outcome_code(Decision::Outcome::kServed);
 }
 
-const char* fusion_name(FusionMode m) {
-  switch (m) {
-    case FusionMode::kFused: return "fused";
-    case FusionMode::kFusedPerSample: return "fused_per_sample";
-    case FusionMode::kPerRequest: break;
-  }
-  return "per_request";
-}
-
 }  // namespace
 
 ServerSpec::Validation ServerSpec::validate() const {
@@ -131,7 +122,7 @@ InferenceServer::InferenceServer(const ServerSpec& spec)
       dataset_(*spec.dataset_ref()),
       registry_(spec.model_registry()),
       cfg_(spec.normalized_config()),
-      root_(cfg_.seed) {
+      noise_rng_(noise_rng(cfg_.seed)) {
   workers_.reserve(cfg_.num_workers);
   for (std::size_t i = 0; i < cfg_.num_workers; ++i) {
     auto w = std::make_unique<Worker>();
@@ -140,33 +131,28 @@ InferenceServer::InferenceServer(const ServerSpec& spec)
   }
 }
 
-void InferenceServer::warmup_backend(const Backend& backend, FusionMode mode) {
+void InferenceServer::warmup_backend(const Backend& backend) {
   const std::size_t len = dataset_.sample_numel();
   const float* images = dataset_.images.data();
-  // Opaque stochastic backends only ever see unit batches; both fused
-  // modes get their arenas, gather buffers, and row-stream vectors sized
-  // for the largest fused batch too. Warmup also fills the layers'
-  // frozen-weight panel caches (prepack-at-deploy, DESIGN.md §6), so the
-  // first real request already packs nothing.
+  // Arenas, gather buffers and row-id vectors get sized for the largest
+  // fused batch. Warmup also fills the layers' frozen-weight panel caches
+  // (prepack-at-deploy, DESIGN.md §6), so the first real request already
+  // packs nothing.
   std::vector<std::size_t> sizes{1};
-  if (mode != FusionMode::kPerRequest && cfg_.batch.max_batch > 1)
-    sizes.push_back(cfg_.batch.max_batch);
+  if (cfg_.batch.max_batch > 1) sizes.push_back(cfg_.batch.max_batch);
   for (auto& wp : workers_) {
     Worker& w = *wp;
     for (std::size_t b : sizes) {
       w.in_shape[0] = b;
       w.gather.resize(w.in_shape);
       float* g = w.gather.data();
+      w.ctx.row_ids.resize(b);
       for (std::size_t i = 0; i < b; ++i) {
         const std::size_t s = i % dataset_.size();
         std::copy(images + s * len, images + (s + 1) * len, g + i * len);
+        w.ctx.row_ids[i] = i;  // the outputs are discarded
       }
-      // A dedicated stream id far above any request id; draws are discarded.
-      w.ctx.rng = root_.fork(~std::uint64_t{0});
-      if (mode == FusionMode::kFusedPerSample)
-        w.ctx.row_rngs.assign(b, root_.fork(~std::uint64_t{0}));
-      else
-        w.ctx.row_rngs.clear();
+      w.ctx.rng = noise_rng_;
       Tensor logits = backend.run(w.gather, w.ctx);
       out_dim_ = logits.numel() / b;
       w.ctx.recycle(std::move(logits));
@@ -177,24 +163,19 @@ void InferenceServer::warmup_backend(const Backend& backend, FusionMode mode) {
 void InferenceServer::warmup() {
   if (warmed_) return;
   warmed_ = true;
-  // The execution modes are frozen here: backend hook configuration must
-  // not change once the server has warmed up.
-  mode_ = backend_.fusion_mode();
-  dmode_ = degraded_ != nullptr ? degraded_->fusion_mode() : mode_;
   if (dataset_.size() == 0) {
     log_warn("serve: warmup over an empty dataset skipped");
     return;
   }
-  warmup_backend(backend_, mode_);
+  warmup_backend(backend_);
   const std::size_t primary_dim = out_dim_;
   if (degraded_ != nullptr) {
-    warmup_backend(*degraded_, dmode_);
+    warmup_backend(*degraded_);
     if (out_dim_ != primary_dim) {
       log_warn(
           "serve: degraded backend output dim mismatch, serving degraded "
           "requests on the primary backend instead");
       degraded_ = nullptr;
-      dmode_ = mode_;
       out_dim_ = primary_dim;
     }
   }
@@ -206,20 +187,16 @@ void InferenceServer::warmup() {
     // cutover packs, binarizes, and allocates nothing.
     const std::uint32_t latest = registry_->latest();
     pinned_.clear();
-    pinned_modes_.clear();
     pinned_.reserve(latest);
-    pinned_modes_.reserve(latest);
     for (std::uint32_t ver = 1; ver <= latest; ++ver) {
       std::shared_ptr<const ModelSnapshot> snap = registry_->snapshot(ver);
-      const FusionMode m = snap->backend->fusion_mode();
-      warmup_backend(*snap->backend, m);
+      warmup_backend(*snap->backend);
       if (out_dim_ != primary_dim)
         throw std::invalid_argument(
             "serve: registry version " + std::to_string(ver) + " (" +
             snap->label + ") output dim mismatch: a hot swap must not " +
             "change the response shape under live traffic");
       pinned_.push_back(std::move(snap));
-      pinned_modes_.push_back(m);
     }
     out_dim_ = primary_dim;
   }
@@ -231,59 +208,33 @@ const Backend& InferenceServer::backend_for_version(
   return *pinned_[version - 1]->backend;
 }
 
-FusionMode InferenceServer::mode_for_version(std::uint32_t version) const {
-  if (version == 0 || pinned_modes_.empty()) return mode_;
-  return pinned_modes_[version - 1];
-}
-
 void InferenceServer::exec_rows(Worker& w, const Backend& backend,
-                                FusionMode mode, const Request* group,
-                                std::size_t n, float* out_rows) {
+                                const Request* group, std::size_t n,
+                                float* out_rows) {
   if (n == 0) return;
+  // One fused call: row-equal to unit batches by the kernel row-
+  // independence contract (serve/backend.hpp), and the noise of each row
+  // is keyed by its request id (DESIGN.md §3), so payloads do not depend on
+  // how the micro-batcher grouped the requests.
   const std::size_t len = dataset_.sample_numel();
   const float* images = dataset_.images.data();
-  if (mode != FusionMode::kPerRequest) {
-    // Fused whole-tensor execution; row-equal to unit batches by the
-    // kernel row-independence contract (serve/backend.hpp). Stochastic
-    // configurations ride the same call with one request stream per row
-    // (DESIGN.md §6), so their payloads are likewise independent of how
-    // the micro-batcher grouped the requests.
-    w.in_shape[0] = n;
-    w.gather.resize(w.in_shape);
-    float* g = w.gather.data();
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy(images + group[i].sample * len,
-                images + (group[i].sample + 1) * len, g + i * len);
-    if (mode == FusionMode::kFusedPerSample) {
-      w.ctx.row_rngs.resize(n);  // capacity warmed at max_batch
-      for (std::size_t i = 0; i < n; ++i)
-        w.ctx.row_rngs[i] = root_.fork(group[i].id);
-    }
-    Tensor logits = backend.run(w.gather, w.ctx);
-    const float* rows = logits.data();
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy(rows + i * out_dim_, rows + (i + 1) * out_dim_,
-                out_rows + group[i].id * out_dim_);
-    w.ctx.recycle(std::move(logits));
-    ++w.exec_calls;
-  } else {
-    // Per-request execution on the (seed, request id) fork: the noise
-    // stream — and therefore the payload — is independent of how the
-    // micro-batcher grouped the requests.
-    w.in_shape[0] = 1;
-    w.gather.resize(w.in_shape);
-    float* g = w.gather.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = group[i];
-      std::copy(images + r.sample * len, images + (r.sample + 1) * len, g);
-      w.ctx.rng = root_.fork(r.id);
-      Tensor logits = backend.run(w.gather, w.ctx);
-      std::copy(logits.data(), logits.data() + out_dim_,
-                out_rows + r.id * out_dim_);
-      w.ctx.recycle(std::move(logits));
-      ++w.exec_calls;
-    }
+  w.in_shape[0] = n;
+  w.gather.resize(w.in_shape);
+  float* g = w.gather.data();
+  w.ctx.row_ids.resize(n);  // capacity warmed at max_batch
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy(images + group[i].sample * len,
+              images + (group[i].sample + 1) * len, g + i * len);
+    w.ctx.row_ids[i] = group[i].id;
   }
+  w.ctx.rng = noise_rng_;
+  Tensor logits = backend.run(w.gather, w.ctx);
+  const float* rows = logits.data();
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(rows + i * out_dim_, rows + (i + 1) * out_dim_,
+              out_rows + group[i].id * out_dim_);
+  w.ctx.recycle(std::move(logits));
+  ++w.exec_calls;
 }
 
 void InferenceServer::Worker::begin_run(std::size_t max_batch) {
@@ -380,13 +331,12 @@ void InferenceServer::serve_batch(
     std::size_t hi = lo + 1;
     while (hi < pg.size() && pg[hi].version == pg[lo].version) ++hi;
     const std::uint32_t ver = pg[lo].version;
-    exec_rows(w, backend_for_version(ver), mode_for_version(ver),
-              pg.data() + lo, hi - lo, out_rows);
+    exec_rows(w, backend_for_version(ver), pg.data() + lo, hi - lo,
+              out_rows);
     lo = hi;
   }
   exec_rows(w, degraded_ != nullptr ? *degraded_ : backend_,
-            degraded_ != nullptr ? dmode_ : mode_, w.degraded_group.data(),
-            w.degraded_group.size(), out_rows);
+            w.degraded_group.data(), w.degraded_group.size(), out_rows);
   w.degraded += w.degraded_group.size();
   const std::uint64_t done = us_since(t0);
   for (const Request& r : batch) {
@@ -456,7 +406,6 @@ RouterReport InferenceServer::execute(
   rep.active_replicas = rp.active_replicas;
   rep.routing_hash = rp.routing_hash;
   const FaultInjector injector(cfg.slo.fault);
-  srep.fusion = fusion_name(lead.mode_);
 
   const std::size_t num_requests = trace.size();
   srep.requests = num_requests;

@@ -30,12 +30,11 @@
 // same payloads, which is the point: outputs depend only on
 // (seed, request id), never on worker count, pool size, or batching.
 //
-// Execution modes (serve/backend.hpp FusionMode, frozen at warmup):
-// deterministic backends fuse each micro-batch into one whole-tensor call;
-// stochastic backends whose noise sites honour per-sample row streams fuse
-// too, with ctx.row_rngs[i] = root.fork(request id) per row (DESIGN.md §6)
-// — bitwise row-equal to unit execution either way; only opaque stochastic
-// backends fall back to unit batches under ctx.rng = root.fork(request id).
+// One execution path (DESIGN.md §4): every micro-batch is one whole-tensor
+// Backend::run with ctx.rng = noise_rng(seed) and ctx.row_ids = the batch's
+// request ids. Every noise site keys a row's noise by (site key, request
+// id) (DESIGN.md §3), so clean and noisy payloads alike are bitwise equal
+// to unit-batch execution.
 // Responses land in pre-sized per-request slots, so workers never contend
 // on result storage.
 #pragma once
@@ -60,7 +59,7 @@ namespace gbo::serve {
 struct ServeConfig {
   BatchPolicy batch;
   std::size_t num_workers = 1;
-  /// Root seed of the per-request noise forks (stochastic backends).
+  /// Seed of the batch noise stream (InferenceServer::noise_rng).
   std::uint64_t seed = 1;
   /// SLO control plane (DESIGN.md §7); disabled by default, in which case
   /// the plan is the always-serve ledger (no deadlines, sheds, retries or
@@ -144,13 +143,18 @@ class InferenceServer {
   /// otherwise std::invalid_argument lists every problem at once.
   explicit InferenceServer(const ServerSpec& spec);
 
-  /// Sizes every worker's arena and gather buffers by running one maximal
-  /// micro-batch (and one unit batch) through the backend, and freezes the
-  /// backend's deterministic/stochastic execution mode (so the backend's
-  /// hook configuration must be settled by now). Called lazily by run();
-  /// call it explicitly so the first run's arena stats are already
-  /// steady-state.
+  /// Sizes every worker's arena, gather buffer and row-id vector by running
+  /// one maximal micro-batch (and one unit batch) through every backend.
+  /// Called lazily by run(); call it explicitly so the first run's arena
+  /// stats are already steady-state.
   void warmup();
+
+  /// The context stream every batch starts from, Rng(seed).fork(~0): a
+  /// served request r's payload is one inference of its sample with
+  /// ctx.rng = noise_rng(seed) and ctx.row_ids = {r}.
+  static Rng noise_rng(std::uint64_t seed) {
+    return Rng(seed).fork(~std::uint64_t{0});
+  }
 
   /// The plan run() executes for this trace: route_plan() over one replica
   /// with the default RouterPolicy (pure; include serve/router.hpp to use
@@ -210,18 +214,17 @@ class InferenceServer {
                               const RouterPlan& rp,
                               const std::vector<Arrival>& trace);
 
-  void warmup_backend(const Backend& backend, FusionMode mode);
-  /// Executes group[0..n) (all routed to `backend` under `mode`) and writes
-  /// each request's logits row into out_rows[id]. Takes a pointer + count
-  /// so a batch can execute contiguous same-version runs without
+  void warmup_backend(const Backend& backend);
+  /// Executes group[0..n) (all routed to `backend`) as one fused call and
+  /// writes each request's logits row into out_rows[id]. Takes a pointer +
+  /// count so a batch can execute contiguous same-version runs without
   /// re-partitioning into fresh vectors (hot path stays zero-alloc).
-  void exec_rows(Worker& w, const Backend& backend, FusionMode mode,
-                 const Request* group, std::size_t n, float* out_rows);
-  /// The backend / frozen fusion mode serving primary-class requests pinned
-  /// to `version` (0 = the spec's primary backend; otherwise a registry
-  /// snapshot pinned at warmup). Lock-free: flat vector lookups.
+  void exec_rows(Worker& w, const Backend& backend, const Request* group,
+                 std::size_t n, float* out_rows);
+  /// The backend serving primary-class requests pinned to `version` (0 =
+  /// the spec's primary backend; otherwise a registry snapshot pinned at
+  /// warmup). Lock-free: a flat vector lookup.
   const Backend& backend_for_version(std::uint32_t version) const;
-  FusionMode mode_for_version(std::uint32_t version) const;
   /// Serves one popped batch: injects stalls/retry backoff and splits the
   /// batch by planned ServeMode between the primary and degraded backends.
   /// `decisions` is indexed by global request id and supplies each
@@ -251,18 +254,14 @@ class InferenceServer {
   /// serving path — the incoming version is already steady-state.
   const ModelRegistry* registry_ = nullptr;
   std::vector<std::shared_ptr<const ModelSnapshot>> pinned_;
-  std::vector<FusionMode> pinned_modes_;
   ServeConfig cfg_;
-  Rng root_;
+  Rng noise_rng_;  // noise_rng(cfg_.seed), copied into ctx.rng per batch
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Process-order sequence of popped batches; the trace id of kBatch
   /// spans and kBatchMember events (timing-class, worker-count dependent).
   std::atomic<std::uint64_t> batch_seq_{0};
   std::size_t out_dim_ = 0;
   bool warmed_ = false;
-  // Fusion modes frozen at warmup (primary and degraded backends).
-  FusionMode mode_ = FusionMode::kPerRequest;
-  FusionMode dmode_ = FusionMode::kPerRequest;
 };
 
 }  // namespace gbo::serve

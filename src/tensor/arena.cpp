@@ -45,11 +45,6 @@ float* ScratchArena::alloc_floats(std::size_t n) {
   return reinterpret_cast<float*>(alloc_bytes(n * sizeof(float)));
 }
 
-double* ScratchArena::alloc_doubles(std::size_t n) {
-  if (n == 0) return nullptr;
-  return reinterpret_cast<double*>(alloc_bytes(n * sizeof(double)));
-}
-
 std::uint64_t* ScratchArena::alloc_words(std::size_t n) {
   if (n == 0) return nullptr;
   return reinterpret_cast<std::uint64_t*>(

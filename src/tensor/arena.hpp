@@ -57,7 +57,6 @@ class ScratchArena {
   /// 64-byte-aligned scratch; contents are uninitialized. Valid until the
   /// enclosing ArenaFrame pops (or reset()). n == 0 returns nullptr.
   float* alloc_floats(std::size_t n);
-  double* alloc_doubles(std::size_t n);
   std::uint64_t* alloc_words(std::size_t n);  // bit-packed kernel operands
 
   /// Rewinds the bump region to empty (no frames may be live). Keeps all

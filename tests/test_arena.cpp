@@ -42,7 +42,7 @@ TEST(ScratchArena, BumpFramesRewindAndStopAllocating) {
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(a) % 64, 0u);
     {
       ArenaFrame inner(&arena);
-      double* b = arena.alloc_doubles(500);
+      std::uint64_t* b = arena.alloc_words(500);
       EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 64, 0u);
       EXPECT_NE(static_cast<void*>(a), static_cast<void*>(b));
     }
@@ -58,7 +58,7 @@ TEST(ScratchArena, BumpFramesRewindAndStopAllocating) {
   for (int pass = 0; pass < 5; ++pass) {
     ArenaFrame frame(&arena);
     (void)arena.alloc_floats(1000);
-    (void)arena.alloc_doubles(500);
+    (void)arena.alloc_words(500);
   }
   EXPECT_EQ(arena.stats().system_allocs, warm.system_allocs);
 

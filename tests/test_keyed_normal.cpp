@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -98,15 +99,32 @@ TEST(KeyedNormal, PoolEntryEqualsSerialAtAnyWidth) {
                         kKeyedNormalGrain, kKeyedNormalGrain + 1,
                         5 * kKeyedNormalGrain + 13}) {
     std::vector<float> want = base_values(n);
-    add_keyed_normal(kKey, 3, want.data(), n, 0.8f, 2);
+    add_keyed_normal(kKey, 0, want.data(), n, 0.8f, 2);
     for (std::size_t width : {1u, 4u}) {
       SCOPED_TRACE(::testing::Message() << "n " << n << " width " << width);
       ThreadPool::instance().set_num_threads(width);
       std::vector<float> got = base_values(n);
-      add_keyed_normal_parallel(kKey, 3, got.data(), n, 0.8f, 2);
+      add_keyed_normal_rows(kKey, {}, got.data(), n, 0.8f, 2);
       ASSERT_TRUE(same_bits(got.data(), want.data(), n));
     }
   }
+}
+
+TEST(KeyedNormal, RowGroupsAreKeyedByRowId) {
+  // Group j of a row-grouped draw is the draw of row_key(key, row_ids[j])
+  // from index 0, whatever the other ids are.
+  const std::size_t len = kKeyedNormalGrain + 300;
+  const std::uint64_t ids[] = {3, 9, 3};
+  std::vector<float> got(3 * len);
+  keyed_normal_rows(kKey, ids, got.data(), got.size(), 1.0f, 4);
+  for (std::size_t j = 0; j < 3; ++j) {
+    const std::vector<float> want = draw(row_key(kKey, ids[j]), 0, len, 4);
+    ASSERT_TRUE(same_bits(got.data() + j * len, want.data(), len)) << j;
+  }
+  EXPECT_NE(row_key(kKey, 3), row_key(kKey, 9));
+  EXPECT_NE(row_key(kKey, 3), row_key(kKey + 1, 3));
+  EXPECT_THROW(keyed_normal_rows(kKey, ids, got.data(), got.size() - 1, 1.0f),
+               std::invalid_argument);
 }
 
 TEST(KeyedNormal, KeysAndStreamsGiveDifferentDraws) {

@@ -5,6 +5,7 @@
 #include "crossbar/mvm_engine.hpp"
 
 #include "common/thread_pool.hpp"
+#include "pulse_oracle.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
@@ -149,9 +150,9 @@ TEST(MvmEngine, ThermometerBeatsBitSlicingAtEqualBits) {
 
 // ---- fused vs. reference pulse-level path --------------------------------
 //
-// run_pulse_level is the fused batch-major sweep; run_pulse_level_reference
-// is the retained pre-refactor scalar path (one crossbar read per pulse).
-// For the same seed they consume rng in the same order and must agree
+// run_pulse_level is the fused batch-major sweep; pulse_level_reference
+// (tests/oracles) is the scalar path through the public API, one crossbar
+// read per pulse. For the same rng they take the same key and must agree
 // BITWISE — across encodings, device models, ragged tiling, and any thread
 // count.
 
@@ -160,9 +161,10 @@ Tensor run_with_threads(const Tensor& w, const MvmConfig& cfg, const Tensor& x,
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t restore = pool.num_threads();
   pool.set_num_threads(threads);
-  MvmEngine engine(w, cfg, Rng(42));
-  Tensor y = fused ? engine.run_pulse_level(x)
-                   : engine.run_pulse_level_reference(x);
+  const MvmEngine engine(w, cfg, Rng(42));
+  Rng rng(43);
+  Tensor y = fused ? engine.run_pulse_level(x, rng)
+                   : pulse_level_reference(engine, x, rng);
   pool.set_num_threads(restore);
   return y;
 }
@@ -220,12 +222,13 @@ TEST(MvmEngine, FusedPulsePathMatchesReferenceBitwiseAtAnyThreadCount) {
   }
 }
 
-TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {
-  // The row-stream contract with group > 1 (DESIGN.md §6) — the fused conv
-  // serving case, where each sample's oh·ow patch rows share one stream:
-  // sample s of a fused batch must be bitwise equal to running its row
-  // group alone under the same stream, for every stochastic term (read
-  // noise, ADC, Eq. 1 output noise) and at any thread count.
+TEST(MvmEngine, RowIdsMatchPerRequestGroupsBitwise) {
+  // The row-id contract with group > 1 (DESIGN.md §3) — the fused conv
+  // serving case, where each sample's oh·ow patch rows share one request
+  // id: group s of a fused batch must be bitwise equal to running its rows
+  // alone with {row_ids[s]} under the same context stream, for every
+  // stochastic term (read noise, ADC, Eq. 1 output noise) and at any thread
+  // count.
   const Tensor w = random_binary_weight(9, 37, 31);
   MvmConfig cfg;
   cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, 6};
@@ -233,38 +236,51 @@ TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {
   cfg.device.read_noise_sigma = 0.05;
   cfg.device.adc_bits = 8;
   cfg.tile_cols = 16;
-  const std::size_t group = 3, streams = 4, in = 37;
-  const Tensor x = random_activations(group * streams, in, 32);
+  const std::size_t group = 3, in = 37;
+  const std::vector<std::uint64_t> ids{7, 0, 123456789, 8};
+  const Tensor x = random_activations(group * ids.size(), in, 32);
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t restore = pool.num_threads();
-  MvmEngine engine(w, cfg, Rng(33));
+  const MvmEngine engine(w, cfg, Rng(33));
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     pool.set_num_threads(threads);
-    Rng root(39);
-    std::vector<Rng> rngs;
-    for (std::size_t s = 0; s < streams; ++s) rngs.push_back(root.fork(s));
-    const Tensor fused =
-        engine.run_pulse_level(x, rngs.data(), rngs.size());
-    ASSERT_EQ(fused.dim(0), group * streams);
+    Rng rng(39);
+    const Tensor fused = engine.run_pulse_level(x, rng, nullptr, ids);
+    ASSERT_EQ(fused.dim(0), group * ids.size());
     const std::size_t out = fused.dim(1);
-    for (std::size_t s = 0; s < streams; ++s) {
+    for (std::size_t s = 0; s < ids.size(); ++s) {
       Tensor xs({group, in});
       std::copy(x.data() + s * group * in, x.data() + (s + 1) * group * in,
                 xs.data());
-      Rng r = root.fork(s);
-      const Tensor alone = engine.run_pulse_level(xs, r);
+      Rng r(39);
+      const std::uint64_t id[] = {ids[s]};
+      const Tensor alone = engine.run_pulse_level(xs, r, nullptr, id);
       EXPECT_EQ(0, std::memcmp(alone.data(), fused.data() + s * group * out,
                                group * out * sizeof(float)))
-          << "stream " << s << " at " << threads << " thread(s)";
+          << "group " << s << " at " << threads << " thread(s)";
     }
   }
   pool.set_num_threads(restore);
 
-  // Degenerate-stream guards.
+  // Distinct ids draw distinct noise for the same rows.
+  const Tensor x0(std::vector<std::size_t>{group, in},
+                  std::vector<float>(x.data(), x.data() + group * in));
+  Rng ra(39), rb(39);
+  const std::uint64_t id_a[] = {7}, id_b[] = {8};
+  const Tensor ya = engine.run_pulse_level(x0, ra, nullptr, id_a);
+  const Tensor yb = engine.run_pulse_level(x0, rb, nullptr, id_b);
+  EXPECT_NE(0, std::memcmp(ya.data(), yb.data(), ya.numel() * sizeof(float)));
+
+  // Degenerate-id guards: more ids than rows, and an id count that does
+  // not divide the batch.
   Rng r(1);
-  EXPECT_THROW(engine.run_pulse_level(x, &r, 0), std::invalid_argument);
-  EXPECT_THROW(engine.run_pulse_level(x, &r, 5), std::invalid_argument);
+  const std::vector<std::uint64_t> too_many(group * ids.size() + 1, 0);
+  const std::vector<std::uint64_t> ragged(5, 0);
+  EXPECT_THROW(engine.run_pulse_level(x, r, nullptr, too_many),
+               std::invalid_argument);
+  EXPECT_THROW(engine.run_pulse_level(x, r, nullptr, ragged),
+               std::invalid_argument);
 }
 
 TEST(MvmEngine, ZeroRowBatchWorksEvenWithReadNoise) {

@@ -125,14 +125,13 @@ struct ThreadGuard {
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 // fill_normal's contract: bitwise the values and the end state of n
-// sequential normal(mean, stddev) calls, at any pool width. Sizes straddle
-// the fixed block grain (in values: two per Box-Muller pair) and the odd
-// tail; `cached` starts the fill with a pending second normal.
+// sequential normal(mean, stddev) calls, at any pool width. Sizes cover the
+// odd tail and lengths around 8192; `cached` starts the fill with a pending
+// second normal.
 TEST(Rng, FillNormalBitwiseEqualsSequentialNormals) {
   ThreadGuard guard;
-  const std::size_t g = 2 * Rng::kFillNormalGrain;
-  const std::size_t sizes[] = {0, 1, 2, 3, g - 2, g - 1, g, g + 1, g + 2,
-                               100000, 100001};
+  const std::size_t sizes[] = {0,    1,    2,    3,      8190,  8191,
+                               8192, 8193, 8194, 100000, 100001};
   for (std::size_t width : {1u, 4u}) {
     ThreadPool::instance().set_num_threads(width);
     for (bool cached : {false, true}) {

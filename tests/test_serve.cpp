@@ -7,6 +7,7 @@
 #include "crossbar/crossbar_layers.hpp"
 #include "crossbar/hw_deploy.hpp"
 #include "models/mlp.hpp"
+#include "models/vgg9.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
 
@@ -190,6 +191,23 @@ serve::ServeReport run_server(const serve::Backend& backend,
   return server.run(trace);
 }
 
+/// The straight-line payload oracle: request `id`, serving dataset sample
+/// `sample`, is one stateless inference of that sample as a unit batch
+/// under the server's batch stream with row ids {id}.
+template <typename Infer>
+Tensor unit_oracle(const Infer& infer, const data::Dataset& ds,
+                   std::size_t sample, std::uint64_t id) {
+  const std::size_t len = ds.sample_numel();
+  std::vector<std::size_t> shape = ds.images.shape();
+  shape[0] = 1;
+  Tensor x(shape);
+  std::copy(ds.images.data() + sample * len,
+            ds.images.data() + (sample + 1) * len, x.data());
+  nn::EvalContext ctx(serve::InferenceServer::noise_rng(kServeSeed));
+  ctx.row_ids = {id};
+  return infer(x, ctx);
+}
+
 TEST(ServeRuntime, NoisyAnalyticPayloadsMatchWorkerCountsAndOracle) {
   ThreadGuard guard;
   models::Mlp m = serve_model();
@@ -211,26 +229,21 @@ TEST(ServeRuntime, NoisyAnalyticPayloadsMatchWorkerCountsAndOracle) {
 
   EXPECT_EQ(rep1.completed, trace.size());
   EXPECT_EQ(rep4.completed, trace.size());
-  // The Gaussian hooks support per-sample row streams, so this stochastic
-  // config must fuse micro-batches (DESIGN.md §6) instead of degenerating
-  // to unit-batch execution — while matching the unchanged oracle below.
-  // (Observed batch sizes are timing-dependent, so the mode string is the
-  // deterministic regression gate; bench_serve additionally gates
-  // mean_exec_batch > 1 under its controlled traces.)
-  EXPECT_EQ(rep4.fusion, "fused_per_sample");
+  // Every queue batch of the noisy config ran as one fused call.
+  std::size_t batches = 0;
+  for (std::size_t c : rep4.batch_hist) batches += c;
+  EXPECT_EQ(rep4.exec_calls, batches);
   expect_bitwise_equal(rep1.outputs, rep4.outputs);        // worker count
   expect_bitwise_equal(rep1.outputs, rep4_unit.outputs);   // batch boundary
 
   // Straight-line oracle: request r's payload is exactly one stateless
-  // inference of its sample under the (seed, request id) fork.
-  Rng root(kServeSeed);
-  const std::size_t len = ds.sample_numel();
+  // inference of its sample as a unit batch with row id r.
   for (std::size_t r = 0; r < trace.size(); ++r) {
-    Tensor x({1, len});
-    std::copy(ds.images.data() + trace[r].sample * len,
-              ds.images.data() + (trace[r].sample + 1) * len, x.data());
-    nn::EvalContext ctx(root.fork(r));
-    const Tensor want = m.net->infer(x, ctx);
+    const Tensor want = unit_oracle(
+        [&](const Tensor& x, nn::EvalContext& ctx) {
+          return m.net->infer(x, ctx);
+        },
+        ds, trace[r].sample, r);
     for (std::size_t j = 0; j < want.numel(); ++j)
       ASSERT_EQ(want[j], rep1.outputs.at(r, j)) << "request " << r;
   }
@@ -292,10 +305,9 @@ TEST(ServeRuntime, PulseBackendPayloadsMatchWorkerCounts) {
 }
 
 TEST(ServeRuntime, PulseNoisyFusedMatchesPerRequestOracle) {
-  // A deployed network with live read/output noise: the engines support
-  // per-sample streams, so the server fuses micro-batches — and every
-  // request's payload must still equal one stateless pulse-level forward
-  // under the classic single-stream (seed, request id) fork.
+  // A deployed network with live read/output noise: the server fuses
+  // micro-batches, and every request's payload must still equal one
+  // stateless pulse-level forward of its sample as a unit batch.
   ThreadGuard guard;
   models::MlpConfig cfg;
   cfg.in_features = 12;
@@ -312,24 +324,61 @@ TEST(ServeRuntime, PulseNoisyFusedMatchesPerRequestOracle) {
   hw_cfg.device.adc_bits = 8;
   xbar::HardwareNetwork hw(*m.net, m.encoded, hw_cfg);
   ASSERT_GT(hw.num_crossbar_layers(), 0u);
-  ASSERT_TRUE(hw.per_sample_capable());
   serve::PulseBackend pulse(hw);
   EXPECT_FALSE(pulse.deterministic());
 
   ThreadPool::instance().set_num_threads(4);
   const auto fused = run_server(pulse, ds, trace, 4, 8);
-  EXPECT_EQ(fused.fusion, "fused_per_sample");
   const auto unit = run_server(pulse, ds, trace, 4, 1);
   expect_bitwise_equal(fused.outputs, unit.outputs);
 
-  Rng root(kServeSeed);
-  const std::size_t len = ds.sample_numel();
   for (std::size_t r = 0; r < trace.size(); ++r) {
-    Tensor x({1, len});
-    std::copy(ds.images.data() + trace[r].sample * len,
-              ds.images.data() + (trace[r].sample + 1) * len, x.data());
-    nn::EvalContext ctx(root.fork(r));
-    const Tensor want = hw.forward(x, ctx);
+    const Tensor want = unit_oracle(
+        [&](const Tensor& x, nn::EvalContext& ctx) { return hw.forward(x, ctx); },
+        ds, trace[r].sample, r);
+    for (std::size_t j = 0; j < want.numel(); ++j)
+      ASSERT_EQ(want[j], fused.outputs.at(r, j)) << "request " << r;
+  }
+}
+
+TEST(ServeRuntime, PulseNoisyConvFusedMatchesUnitBatchesAndOracle) {
+  // The one path where a request id spans many engine rows: a deployed
+  // conv network's im2col feeds each sample's oh·ow patch rows through the
+  // engine as one row group. Fused == unit batch == oracle, at 1 and 4
+  // workers.
+  ThreadGuard guard;
+  models::Vgg9Config vcfg;
+  vcfg.in_channels = 3;
+  vcfg.image_size = 8;
+  vcfg.width = 4;
+  vcfg.num_classes = 4;
+  models::Vgg9 v = models::build_vgg9(vcfg);
+  v.net->set_training(false);
+  data::Dataset ds;
+  ds.images = random_tensor({6, 3, 8, 8}, 47);
+  ds.labels.assign(6, 0);
+  const auto trace = serve_trace(24, ds.size());
+
+  xbar::HwDeployConfig hw_cfg;
+  hw_cfg.sigma = 0.5;
+  hw_cfg.device.read_noise_sigma = 0.05;
+  hw_cfg.device.adc_bits = 8;
+  xbar::HardwareNetwork hw(*v.net, v.encoded, hw_cfg);
+  serve::PulseBackend pulse(hw);
+  ASSERT_FALSE(pulse.deterministic());
+
+  ThreadPool::instance().set_num_threads(4);
+  const auto one = run_server(pulse, ds, trace, 1, 8);
+  const auto fused = run_server(pulse, ds, trace, 4, 8);
+  const auto unit = run_server(pulse, ds, trace, 4, 1);
+  EXPECT_EQ(fused.completed, trace.size());
+  expect_bitwise_equal(one.outputs, fused.outputs);
+  expect_bitwise_equal(fused.outputs, unit.outputs);
+
+  for (std::size_t r = 0; r < trace.size(); ++r) {
+    const Tensor want = unit_oracle(
+        [&](const Tensor& x, nn::EvalContext& ctx) { return hw.forward(x, ctx); },
+        ds, trace[r].sample, r);
     for (std::size_t j = 0; j < want.numel(); ++j)
       ASSERT_EQ(want[j], fused.outputs.at(r, j)) << "request " << r;
   }

@@ -615,7 +615,6 @@ TEST(ServeSloRuntime, ShedSetAndPayloadsAreBitwiseIdenticalAcrossWorkers) {
   // produce all-zero rows.
   const std::size_t len = ds.sample_numel();
   const std::size_t out_dim = rep1.outputs.shape()[1];
-  Rng root(kServeSeed);
   for (std::size_t r = 0; r < trace.size(); ++r) {
     const serve::Decision& d = p.decisions[r];
     if (!d.served()) {
@@ -626,7 +625,8 @@ TEST(ServeSloRuntime, ShedSetAndPayloadsAreBitwiseIdenticalAcrossWorkers) {
     Tensor x({1, len});
     std::copy(ds.images.data() + trace[r].sample * len,
               ds.images.data() + (trace[r].sample + 1) * len, x.data());
-    nn::EvalContext ctx(root.fork(r));
+    nn::EvalContext ctx(serve::InferenceServer::noise_rng(kServeSeed));
+    ctx.row_ids = {r};
     const nn::Sequential& net = d.mode == serve::ServeMode::kPrimary
                                     ? *primary.net
                                     : *degraded.net;
