@@ -4,6 +4,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,11 +19,12 @@ Tensor rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t out_c,
   return out;
 }
 
-/// A-panel packer for the direct 3×3 stride-1 kernel: gathers the
-/// receptive-field patches for output rows [i0, i1) and patch columns
-/// [pc, pc + kc) straight from the NCHW input into gemm's packed MR-strip
-/// layout — exactly the values im2col would have written to those cells,
-/// so the packed multiply is bitwise identical to the im2col route.
+/// A-panel packer for conv infer: gathers the receptive-field patches for
+/// output rows [i0, i1) and patch columns [pc, pc + kc) straight from the
+/// NCHW input into gemm's packed MR-strip layout — exactly the values
+/// im2col would have written to those cells, for any kernel size, stride
+/// and padding, so the packed multiply is bitwise identical to forward's
+/// im2col lowering.
 struct DirectConvPacker {
   const float* src;  // NCHW input
   ConvGeom g;
@@ -31,7 +33,7 @@ struct DirectConvPacker {
   void operator()(std::size_t i0, std::size_t i1, std::size_t pc,
                   std::size_t kc, float* dst) const {
     const std::size_t H = g.in_h, W = g.in_w;
-    const std::size_t kk = g.k;  // 3 on the dispatched path; kept general
+    const std::size_t kk = g.k;
     const std::size_t ohw = oh * ow;
     const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
     for (std::size_t i = i0; i < i1; i += gemm::kMR) {
@@ -101,45 +103,33 @@ Conv2d::Conv2d(std::size_t out_channels, ConvGeom geom, bool bias, Rng& rng)
 
 const Tensor& Conv2d::effective_weight() { return weight_.value; }
 
-bool Conv2d::direct_conv_eligible(std::size_t /*m*/) const {
-  // Geometry-only dispatch: the direct kernel is the im2col route's packed
-  // multiply with the patch gather fused into the A-panel packer, so it is
-  // bitwise equal by construction for every row count — eligibility must
-  // not (and no longer does) depend on the batch.
-  return geom_.k == 3 && geom_.stride == 1;
-}
-
 const float* Conv2d::cached_panels() const {
   const std::size_t k = geom_.patch_len();
   return wpanels_.get(std::as_const(weight_.value).data(), k, out_c_, k,
-                      /*transposed=*/true, weight_.value.version());
+                      weight_.value.version());
 }
 
 Tensor Conv2d::infer_with_weight(const Tensor& x, const float* w,
                                  bool with_bias, EvalContext* ctx,
                                  const float* panels) const {
-  if (x.ndim() != 4)
-    throw std::invalid_argument("Conv2d: expected NCHW input, got " +
-                                x.shape_str());
+  if (x.ndim() != 4 || x.dim(1) != geom_.in_c || x.dim(2) != geom_.in_h ||
+      x.dim(3) != geom_.in_w)
+    throw std::invalid_argument(
+        "Conv2d: expected NCHW input [N, " + std::to_string(geom_.in_c) +
+        ", " + std::to_string(geom_.in_h) + ", " +
+        std::to_string(geom_.in_w) + "], got " + x.shape_str());
   const std::size_t batch = x.dim(0);
   const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
   const std::size_t m = batch * oh * ow;
   const std::size_t k = geom_.patch_len();
-  const bool direct = direct_conv_eligible(m);
   ScratchArena* arena = ctx ? ctx->arena : nullptr;
   ArenaFrame frame(arena);
-  Tensor cols_own, rows_own;       // fallback owners without an arena
+  Tensor rows_own;  // fallback owner without an arena
   std::vector<float> pack_own;
-  float* cols = nullptr;           // im2col route only
   float* rows;
   if (arena) {
-    if (!direct) cols = arena->alloc_floats(m * k);
     rows = arena->alloc_floats(m * out_c_);
   } else {
-    if (!direct) {
-      cols_own = Tensor({m, k});
-      cols = cols_own.data();
-    }
     rows_own = Tensor({m, out_c_});
     rows = rows_own.data();
   }
@@ -147,14 +137,9 @@ Tensor Conv2d::infer_with_weight(const Tensor& x, const float* w,
     // Uncached caller (a subclass forward over a transient effective
     // weight): pack fresh, off the heap when an arena is attached.
     panels = gemm::pack_fresh_b_t(out_c_, k, w, k, arena, &pack_own);
-  if (direct) {
-    gemm::gemm_prepacked_b(
-        m, out_c_, k, DirectConvPacker{x.data(), geom_, oh, ow}, panels, rows,
-        out_c_, /*accumulate=*/false);
-  } else {
-    im2col_into(x, geom_, cols);
-    gemm::gemm_prepacked(m, out_c_, k, cols, k, panels, rows, out_c_);
-  }
+  gemm::gemm_prepacked_b(m, out_c_, k,
+                         DirectConvPacker{x.data(), geom_, oh, ow}, panels,
+                         rows, out_c_, /*accumulate=*/false);
   if (with_bias) {
     const float* b = bias_.value.data();
     for (std::size_t r = 0; r < m; ++r)

@@ -1,24 +1,19 @@
-// 2D convolution (square kernel) via im2col + GEMM, with a direct
-// packed-panel kernel for the dominant 3×3 stride-1 shape.
+// 2D convolution (square kernel) over the packed-panel GEMM.
 //
 // Weight layout: [out_c, in_c * k * k], i.e. already flattened to the MVM
-// matrix a crossbar tile would store. Forward lowers the input to the patch
-// matrix, multiplies, and reshapes to NCHW.
+// matrix a crossbar tile would store.
 //
-// Every conv MVM runs the packed-panel kernel (a conv's row count scales
-// with the output image, so panels always pay), over weight panels cached
+// Every conv MVM runs the packed-panel kernel over weight panels cached
 // across requests and stamped with the weight's version counter
-// (gemm::PackedWeightCache, DESIGN.md §6) — steady-state serving packs no
-// conv weights. 3×3 stride-1 layers skip the im2col materialization
-// entirely: the patch gather is fused into the packed GEMM's A-panel
-// packer, so each receptive field is read straight from the NCHW input
-// into a cache-resident panel while the packed weight panels are reused
-// across every output row slab. Because the direct kernel runs the exact
-// packed multiply the im2col route runs (same packed weights, same panel
-// contents, same micro-kernel), its outputs are bitwise equal to the
-// im2col route at any GBO_NUM_THREADS (tests/test_nn_layers.cpp). Both
-// dispatch choices depend only on the layer geometry, never on the batch,
-// so fused serving batches stay bitwise row-equal to unit batches.
+// (gemm::PackedWeightCache, DESIGN.md §6), so steady-state serving packs no
+// conv weights. `infer` has one route for every geometry: the im2col patch
+// gather is fused into the packed GEMM's A-panel packer, so each receptive
+// field is read straight from the NCHW input into a cache-resident panel
+// and no column matrix is materialized. `forward` lowers through im2col
+// instead, because `backward` needs the columns; it feeds the same panel
+// values to the same packed multiply, so `infer` equals `forward` bitwise
+// at any GBO_NUM_THREADS (tests/test_nn_layers.cpp). Nothing depends on the
+// batch, so fused serving batches stay bitwise row-equal to unit batches.
 #pragma once
 
 #include "common/rng.hpp"
@@ -45,22 +40,16 @@ class Conv2d : public Module {
   std::size_t out_channels() const { return out_c_; }
   Param& weight() { return weight_; }
 
-  /// True when this layer's infer routes through the direct 3×3 stride-1
-  /// kernel. A function of the layer geometry alone since this PR — the
-  /// historical `m = N·oh·ow` argument is ignored, kept so benches/tests
-  /// keep compiling — which is what makes the dispatch identical at every
-  /// batch size, with and without an arena, and at any thread count.
-  bool direct_conv_eligible(std::size_t m) const;
-
  protected:
   /// Hooks mirroring Linear's, so the quantized subclass reuses this body.
   virtual const Tensor& effective_weight();
   virtual void on_weight_grad(Tensor& /*grad_w*/) {}
 
-  /// Shared const forward body over a raw [out_c, patch_len] weight:
-  /// (direct gather | im2col) → packed GEMM → NCHW (+ bias when
-  /// `with_bias`). `panels` is the weight's packed panel set (cache hit or
-  /// caller-owned); nullptr packs fresh — bitwise identical either way.
+  /// Shared const forward body over a raw [out_c, patch_len] weight: fused
+  /// patch gather → packed GEMM → NCHW (+ bias when `with_bias`). Throws
+  /// std::invalid_argument unless x is [N, in_c, in_h, in_w] of `geom`.
+  /// `panels` is the weight's packed panel set (cache hit or caller-owned);
+  /// nullptr packs fresh — bitwise identical either way.
   /// With a context carrying a scratch arena, all scratch is bump-allocated
   /// and the output tensor is recycled; the conv infer path then performs
   /// no heap allocation.

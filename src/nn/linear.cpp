@@ -53,7 +53,7 @@ Tensor Linear::infer_with_weight(const Tensor& x, const float* w,
 const float* Linear::cached_panels() const {
   if (!gemm::panels_for_weight(out_, in_)) return nullptr;
   return wpanels_.get(std::as_const(weight_.value).data(), in_, out_, in_,
-                      /*transposed=*/true, weight_.value.version());
+                      weight_.value.version());
 }
 
 Tensor Linear::forward(const Tensor& x) {

@@ -1,11 +1,13 @@
 // Fully connected layer: y = x W^T + b, x: [N, in], W: [out, in].
 //
-// Kernel dispatch (DESIGN.md §6) is a function of the weight shape alone:
-// weights above the panel floor run the packed-panel kernel over panels
-// cached across calls (gemm::PackedWeightCache, stamped with the weight's
-// version counter — steady-state serving packs nothing); smaller weights
-// run the row-stable dot kernel. Neither choice depends on the batch, so
-// every batch row's bit pattern is independent of how requests were fused.
+// One kernel route per weight shape (DESIGN.md §6), fixed at construction:
+// weights above the panel floor (gemm::panels_for_weight) run the
+// packed-panel kernel over panels cached across calls
+// (gemm::PackedWeightCache, stamped with the weight's version counter —
+// steady-state serving packs nothing); smaller weights run the row-stable
+// dot kernel (gemm::gemm_nt_rowwise). The route never depends on the batch,
+// so every batch row's bit pattern is independent of how requests were
+// fused, and forward and infer share the same body.
 #pragma once
 
 #include "common/rng.hpp"

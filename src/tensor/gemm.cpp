@@ -24,8 +24,9 @@ constexpr std::size_t MR = kMR;
 constexpr std::size_t NR = kNR;
 static_assert(NC % NR == 0, "packed B strips must tile NC blocks exactly");
 
-// Problems below this flop count run the short direct kernels: blocking and
-// packing buffers only pay off once the operands outgrow L1.
+// NN-layer weights whose per-row product costs at most this many
+// multiply-adds (n·k) run the row-stable dot kernel (panels_for_weight):
+// streaming packed panels only pays off once the weight outgrows L1.
 constexpr std::size_t kSmallFlops = 32 * 1024;
 
 // Per-thread A-panel scratch for the packed path: one MC-row slab packed
@@ -46,7 +47,9 @@ static_assert(MR >= 1 && NR % 8 == 0,
 // Process-wide B-panel pack counter (see gemm.hpp: b_pack_count).
 std::atomic<std::uint64_t> g_b_packs{0};
 
+// An empty C may be a null pointer, which memset must not see.
 void zero_rows(float* C, std::size_t m, std::size_t n, std::size_t ldc) {
+  if (n == 0) return;
   for (std::size_t i = 0; i < m; ++i)
     std::memset(C + i * ldc, 0, n * sizeof(float));
 }
@@ -69,45 +72,14 @@ inline vf8 loadu8(const float* p) {
 inline void storeu8(float* p, vf8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 inline vf8 splat8(float x) { return vf8{x, x, x, x, x, x, x, x}; }
 
-// Full MR×NR register tile: C[i:i+6, j:j+16] += A[i:i+6, pc:pc+kc] *
-// B[pc:pc+kc, j:j+16]. Lane c of each accumulator only ever combines with
-// column j+c, so per-element accumulation order matches the scalar edge
-// kernel's k-ascending order.
-void micro_full(const float* __restrict A, std::size_t lda,
-                const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  static_assert(MR == 6 && NR == 16, "micro_full is specialized for 6x16");
-  vf8 c00 = loadu8(C + 0 * ldc), c01 = loadu8(C + 0 * ldc + 8);
-  vf8 c10 = loadu8(C + 1 * ldc), c11 = loadu8(C + 1 * ldc + 8);
-  vf8 c20 = loadu8(C + 2 * ldc), c21 = loadu8(C + 2 * ldc + 8);
-  vf8 c30 = loadu8(C + 3 * ldc), c31 = loadu8(C + 3 * ldc + 8);
-  vf8 c40 = loadu8(C + 4 * ldc), c41 = loadu8(C + 4 * ldc + 8);
-  vf8 c50 = loadu8(C + 5 * ldc), c51 = loadu8(C + 5 * ldc + 8);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    const vf8 b0 = loadu8(b), b1 = loadu8(b + 8);
-    vf8 a;
-    a = splat8(A[0 * lda + p]); c00 += a * b0; c01 += a * b1;
-    a = splat8(A[1 * lda + p]); c10 += a * b0; c11 += a * b1;
-    a = splat8(A[2 * lda + p]); c20 += a * b0; c21 += a * b1;
-    a = splat8(A[3 * lda + p]); c30 += a * b0; c31 += a * b1;
-    a = splat8(A[4 * lda + p]); c40 += a * b0; c41 += a * b1;
-    a = splat8(A[5 * lda + p]); c50 += a * b0; c51 += a * b1;
-  }
-  storeu8(C + 0 * ldc, c00); storeu8(C + 0 * ldc + 8, c01);
-  storeu8(C + 1 * ldc, c10); storeu8(C + 1 * ldc + 8, c11);
-  storeu8(C + 2 * ldc, c20); storeu8(C + 2 * ldc + 8, c21);
-  storeu8(C + 3 * ldc, c30); storeu8(C + 3 * ldc + 8, c31);
-  storeu8(C + 4 * ldc, c40); storeu8(C + 4 * ldc + 8, c41);
-  storeu8(C + 5 * ldc, c50); storeu8(C + 5 * ldc + 8, c51);
-}
-
-// The same 6×16 register tile streaming from packed panels: A strip element
-// (r, p) at Ap[p*MR + r], B strip row p at Bp[p*NR]. The float operations
-// and their order are identical to micro_full — only the address arithmetic
-// differs — so the packed and unpacked paths agree bitwise.
+// Full MR×NR register tile streaming from packed panels: C[i:i+6, j:j+16]
+// += Ap·Bp over kc, with A strip element (r, p) at Ap[p*MR + r] and B strip
+// row p at Bp[p*NR]. Lane c of each accumulator only ever combines with
+// column j+c, so every C element accumulates k-ascending.
 void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
                        float* __restrict C, std::size_t ldc, std::size_t kc) {
+  static_assert(MR == 6 && NR == 16,
+                "micro_full_packed is specialized for 6x16");
   vf8 c00 = loadu8(C + 0 * ldc), c01 = loadu8(C + 0 * ldc + 8);
   vf8 c10 = loadu8(C + 1 * ldc), c11 = loadu8(C + 1 * ldc + 8);
   vf8 c20 = loadu8(C + 2 * ldc), c21 = loadu8(C + 2 * ldc + 8);
@@ -134,24 +106,7 @@ void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
   storeu8(C + 5 * ldc, c50); storeu8(C + 5 * ldc + 8, c51);
 }
 
-#else  // portable scalar fallbacks
-
-void micro_full(const float* __restrict A, std::size_t lda,
-                const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  float acc[MR][NR];
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t c = 0; c < NR; ++c) acc[r][c] = C[r * ldc + c];
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float a = A[r * lda + p];
-      for (std::size_t c = 0; c < NR; ++c) acc[r][c] += a * b[c];
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t c = 0; c < NR; ++c) C[r * ldc + c] = acc[r][c];
-}
+#else  // portable scalar fallback
 
 void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
                        float* __restrict C, std::size_t ldc, std::size_t kc) {
@@ -171,24 +126,6 @@ void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
 }
 
 #endif
-
-// Variable-size edge tile (mr <= MR, nr <= NR), same accumulation order.
-void micro_edge(std::size_t mr, std::size_t nr, const float* __restrict A,
-                std::size_t lda, const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  float acc[MR][NR];
-  for (std::size_t r = 0; r < mr; ++r)
-    for (std::size_t c = 0; c < nr; ++c) acc[r][c] = C[r * ldc + c];
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float a = A[r * lda + p];
-      for (std::size_t c = 0; c < nr; ++c) acc[r][c] += a * b[c];
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r)
-    for (std::size_t c = 0; c < nr; ++c) C[r * ldc + c] = acc[r][c];
-}
 
 // Packed-path edge tile: the panels are already zero-padded to MR×NR, so
 // the full register kernel runs into a local tile and only the valid mr×nr
@@ -271,9 +208,9 @@ inline float hsum8(vf8 v) {
   return s;
 }
 
-// Direct A·Bᵀ for small m, where packing B would dominate: each A row is
-// dotted against 4 B rows at a time, vectorized 8-wide along k with two
-// accumulators per pair (the manual reassociation the compiler may not do).
+// Row-stable A·Bᵀ (gemm_nt_rowwise): each A row is dotted against 4 B rows
+// at a time, vectorized 8-wide along k with two accumulators per pair (the
+// manual reassociation the compiler may not do).
 void nt_direct(std::size_t m, std::size_t n, std::size_t k,
                const float* __restrict A, std::size_t lda,
                const float* __restrict B, std::size_t ldb,
@@ -320,56 +257,31 @@ void nt_direct(std::size_t m, std::size_t n, std::size_t k,
   });
 }
 
-constexpr bool kHaveNtDirect = true;
-
 #else
 
-void nt_direct(std::size_t, std::size_t, std::size_t, const float*,
-               std::size_t, const float*, std::size_t, float*, std::size_t) {}
-constexpr bool kHaveNtDirect = false;
+// Portable build: plain k-ascending dots, one row at a time — also
+// row-stable, just without the manual vector reassociation.
+void nt_direct(std::size_t m, std::size_t n, std::size_t k, const float* A,
+               std::size_t lda, const float* B, std::size_t ldb, float* C,
+               std::size_t ldc) {
+  parallel_for(0, m, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const float* Ai = A + i * lda;
+      float* Ci = C + i * ldc;
+      for (std::size_t j = 0; j < n; ++j) {
+        const float* Bj = B + j * ldb;
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < k; ++p) acc += Ai[p] * Bj[p];
+        Ci[j] = acc;
+      }
+    }
+  });
+}
 
 #endif
 
-// One thread's row slab [i0, i1), unpacked operands: full KC/NC blocking
-// over K and N with strided panel reads.
-void slab_nn(std::size_t i0, std::size_t i1, std::size_t n, std::size_t k,
-             const float* A, std::size_t lda, const float* B, std::size_t ldb,
-             float* C, std::size_t ldc) {
-  for (std::size_t pc = 0; pc < k; pc += KC) {
-    const std::size_t kc = pc + KC < k ? KC : k - pc;
-    for (std::size_t jc = 0; jc < n; jc += NC) {
-      const std::size_t nc = jc + NC < n ? NC : n - jc;
-      for (std::size_t i = i0; i < i1; i += MR) {
-        const std::size_t mr = i + MR < i1 ? MR : i1 - i;
-        for (std::size_t j = jc; j < jc + nc; j += NR) {
-          const std::size_t nr = j + NR < jc + nc ? NR : jc + nc - j;
-          const float* Ab = A + i * lda + pc;
-          const float* Bb = B + pc * ldb + j;
-          float* Cb = C + i * ldc + j;
-          if (mr == MR && nr == NR)
-            micro_full(Ab, lda, Bb, ldb, Cb, ldc, kc);
-          else
-            micro_edge(mr, nr, Ab, lda, Bb, ldb, Cb, ldc, kc);
-        }
-      }
-    }
-  }
-}
-
 inline std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
-}
-
-// True when this shape runs the packed-panel gemm_nn path: packing costs
-// O(k·(m + n)) data movement against O(m·n·k) flops, so it needs a real
-// blocked problem (and at least one full A strip) to pay off.
-bool nn_packs(std::size_t m, std::size_t n, std::size_t k) {
-  return m != 0 && n != 0 && k != 0 && m * n * k > kSmallFlops && m >= MR;
-}
-
-bool nt_packs(std::size_t m, std::size_t n, std::size_t k) {
-  return m != 0 && n != 0 && k != 0 && m * n * k > kSmallFlops &&
-         !(kHaveNtDirect && m < 64);
 }
 
 }  // namespace
@@ -484,100 +396,62 @@ void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
   });
 }
 
-void gemm_nn_packed(std::size_t m, std::size_t n, std::size_t k,
-                    const float* A, std::size_t lda, const float* B,
-                    std::size_t ldb, float* C, std::size_t ldc,
-                    bool accumulate, float* pack_scratch) {
-  if (m == 0 || n == 0 || k == 0) {
-    if (!accumulate) zero_rows(C, m, n, ldc);
-    return;
-  }
-  std::vector<float> pb_own;
-  float* pb = pack_scratch;
-  if (pb == nullptr) {
-    pb_own.resize(packed_b_floats(n, k));
-    pb = pb_own.data();
-  }
-  pack_b(k, n, B, ldb, pb);
+void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
+                    const float* A, std::size_t lda, const float* packedB,
+                    float* C, std::size_t ldc) {
   gemm_prepacked_b(
       m, n, k,
       [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
           float* dst) { pack_a_panel(A, lda, i0, i1, pc, kc, dst); },
-      pb, C, ldc, accumulate);
-}
-
-void gemm_nn_unpacked(std::size_t m, std::size_t n, std::size_t k,
-                      const float* A, std::size_t lda, const float* B,
-                      std::size_t ldb, float* C, std::size_t ldc,
-                      bool accumulate) {
-  if (!accumulate) zero_rows(C, m, n, ldc);
-  if (m == 0 || n == 0 || k == 0) return;
-  parallel_for(0, m, MC, [&](std::size_t lo, std::size_t hi) {
-    slab_nn(lo, hi, n, k, A, lda, B, ldb, C, ldc);
-  });
+      packedB, C, ldc, /*accumulate=*/false);
 }
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate) {
-  if (nn_packs(m, n, k))
-    gemm_nn_packed(m, n, k, A, lda, B, ldb, C, ldc, accumulate);
-  else
-    gemm_nn_unpacked(m, n, k, A, lda, B, ldb, C, ldc, accumulate);
-}
-
-bool gemm_nt_packs_b(std::size_t m, std::size_t n, std::size_t k) {
-  return nt_packs(m, n, k);
-}
-
-std::size_t gemm_nt_scratch_floats(std::size_t m, std::size_t n,
-                                   std::size_t k) {
-  return nt_packs(m, n, k) ? packed_b_floats(n, k) : 0;
-}
-
-void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
-             std::size_t lda, const float* B, std::size_t ldb, float* C,
-             std::size_t ldc, float* pack_scratch) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    zero_rows(C, m, n, ldc);
+  if (m == 0 || n == 0 || k == 0) {
+    if (!accumulate) zero_rows(C, m, n, ldc);
     return;
   }
-  if (m * n * k <= kSmallFlops) {
-    for (std::size_t i = 0; i < m; ++i) {
-      const float* Ai = A + i * lda;
-      float* Ci = C + i * ldc;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* Bj = B + j * ldb;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) acc += Ai[p] * Bj[p];
-        Ci[j] = acc;
-      }
-    }
-    return;
-  }
-  // Small m (the analytic-MVM batch case): packing B costs more than it
-  // saves, so dot directly with the vectorized multi-accumulator kernel.
-  if (kHaveNtDirect && m < 64) {
-    nt_direct(m, n, k, A, lda, B, ldb, C, ldc);
-    return;
-  }
-  // B packed once, straight from its transposed storage, turns the
-  // dot-product loop (a serial reduction the compiler cannot vectorize
-  // without reassociating) into the streaming packed kernel; the k·n pack
-  // is negligible against the m·n·k multiply.
-  std::vector<float> pb_own;
-  float* pb = pack_scratch;
-  if (pb == nullptr) {
-    pb_own.resize(packed_b_floats(n, k));
-    pb = pb_own.data();
-  }
-  pack_b_t(n, k, B, ldb, pb);
+  std::vector<float> pb(packed_b_floats(n, k));
+  pack_b(k, n, B, ldb, pb.data());
   gemm_prepacked_b(
       m, n, k,
       [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
           float* dst) { pack_a_panel(A, lda, i0, i1, pc, kc, dst); },
-      pb, C, ldc, /*accumulate=*/false);
+      pb.data(), C, ldc, accumulate);
+}
+
+void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
+             std::size_t lda, const float* B, std::size_t ldb, float* C,
+             std::size_t ldc) {
+  if (m == 0 || n == 0 || k == 0) {
+    zero_rows(C, m, n, ldc);
+    return;
+  }
+  // B packed straight from its transposed storage: no Bᵀ materialized.
+  std::vector<float> pb(packed_b_floats(n, k));
+  pack_b_t(n, k, B, ldb, pb.data());
+  gemm_prepacked(m, n, k, A, lda, pb.data(), C, ldc);
+}
+
+void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* A,
+                 std::size_t lda, const float* B, std::size_t ldb, float* C,
+                 std::size_t ldc) {
+  if (m == 0 || n == 0 || k == 0) return;
+  // Aᵀ materialized row-major, then the packed nn kernel accumulates.
+  std::vector<float> at(m * k);
+  constexpr std::size_t TB = 32;
+  parallel_for(0, k, TB, [&](std::size_t lo, std::size_t hi) {
+    float* dst = at.data();
+    for (std::size_t p0 = 0; p0 < m; p0 += TB) {
+      const std::size_t p1 = p0 + TB < m ? p0 + TB : m;
+      for (std::size_t j = lo; j < hi; ++j)
+        for (std::size_t p = p0; p < p1; ++p)
+          dst[p * k + j] = A[j * lda + p];
+    }
+  });
+  gemm_nn(m, n, k, at.data(), k, B, ldb, C, ldc, /*accumulate=*/true);
 }
 
 void gemm_nt_rowwise(std::size_t m, std::size_t n, std::size_t k,
@@ -591,24 +465,7 @@ void gemm_nt_rowwise(std::size_t m, std::size_t n, std::size_t k,
   GBO_TRACE_SPAN(obs::EventType::kGemm, m,
                  static_cast<std::uint16_t>(n < 65535 ? n : 65535),
                  2ull * m * n * k);
-  if (kHaveNtDirect) {
-    nt_direct(m, n, k, A, lda, B, ldb, C, ldc);
-    return;
-  }
-  // Portable fallback: plain k-ascending dots, one row at a time — also
-  // row-stable, just without the manual vector reassociation.
-  parallel_for(0, m, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const float* Ai = A + i * lda;
-      float* Ci = C + i * ldc;
-      for (std::size_t j = 0; j < n; ++j) {
-        const float* Bj = B + j * ldb;
-        float acc = 0.0f;
-        for (std::size_t p = 0; p < k; ++p) acc += Ai[p] * Bj[p];
-        Ci[j] = acc;
-      }
-    }
-  });
+  nt_direct(m, n, k, A, lda, B, ldb, C, ldc);
 }
 
 bool panels_for_weight(std::size_t n, std::size_t k) {
@@ -617,28 +474,6 @@ bool panels_for_weight(std::size_t n, std::size_t k) {
 
 std::uint64_t b_pack_count() {
   return g_b_packs.load(std::memory_order_relaxed);
-}
-
-PackedB prepack_b(std::size_t k, std::size_t n, const float* B,
-                  std::size_t ldb) {
-  PackedB pb;
-  pb.n = n;
-  pb.k = k;
-  if (n == 0 || k == 0) return pb;  // empty handle, no pack counted
-  pb.panels.resize(packed_b_floats(n, k));
-  pack_b(k, n, B, ldb, pb.panels.data());
-  return pb;
-}
-
-PackedB prepack_b_t(std::size_t n, std::size_t k, const float* B,
-                    std::size_t ldb) {
-  PackedB pb;
-  pb.n = n;
-  pb.k = k;
-  if (n == 0 || k == 0) return pb;
-  pb.panels.resize(packed_b_floats(n, k));
-  pack_b_t(n, k, B, ldb, pb.panels.data());
-  return pb;
 }
 
 const float* pack_fresh_b_t(std::size_t n, std::size_t k, const float* B,
@@ -656,60 +491,15 @@ const float* pack_fresh_b_t(std::size_t n, std::size_t k, const float* B,
   return pb;
 }
 
-void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
-                    const float* A, std::size_t lda, const float* packedB,
-                    float* C, std::size_t ldc, bool accumulate) {
-  gemm_prepacked_b(
-      m, n, k,
-      [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
-          float* dst) { pack_a_panel(A, lda, i0, i1, pc, kc, dst); },
-      packedB, C, ldc, accumulate);
-}
-
 const float* PackedWeightCache::get(const float* B, std::size_t ldb,
                                     std::size_t n, std::size_t k,
-                                    bool transposed,
                                     std::uint64_t version) const {
   gate_.ensure(version, [&] {
     panels_.resize(packed_b_floats(n, k));
-    if (transposed)
-      pack_b_t(n, k, B, ldb, panels_.data());
-    else
-      pack_b(k, n, B, ldb, panels_.data());
+    pack_b_t(n, k, B, ldb, panels_.data());
     packs_.fetch_add(1, std::memory_order_relaxed);
   });
   return panels_.data();
-}
-
-void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* A,
-                 std::size_t lda, const float* B, std::size_t ldb, float* C,
-                 std::size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (m * n * k <= kSmallFlops) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* Ap = A + p * lda;
-      const float* Bp = B + p * ldb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float a = Ap[i];
-        float* Ci = C + i * ldc;
-        for (std::size_t j = 0; j < n; ++j) Ci[j] += a * Bp[j];
-      }
-    }
-    return;
-  }
-  // Aᵀ materialized row-major, then the (packed) nn kernel accumulates.
-  std::vector<float> at(m * k);
-  constexpr std::size_t TB = 32;
-  parallel_for(0, k, TB, [&](std::size_t lo, std::size_t hi) {
-    float* dst = at.data();
-    for (std::size_t p0 = 0; p0 < m; p0 += TB) {
-      const std::size_t p1 = p0 + TB < m ? p0 + TB : m;
-      for (std::size_t j = lo; j < hi; ++j)
-        for (std::size_t p = p0; p < p1; ++p)
-          dst[p * k + j] = A[j * lda + p];
-    }
-  });
-  gemm_nn(m, n, k, at.data(), k, B, ldb, C, ldc, /*accumulate=*/true);
 }
 
 }  // namespace gbo::gemm

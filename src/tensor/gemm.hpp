@@ -1,31 +1,32 @@
-// Cache-blocked, register-tiled, multithreaded GEMM micro-kernels with
-// packed-panel operands.
+// Cache-blocked, register-tiled, multithreaded GEMM over packed-panel
+// operands.
 //
 // The Goto/van de Geijn decomposition specialized to this project's needs:
 // row-major float32, three transpose variants (the only ones the NN and
 // crossbar layers use), and bitwise-reproducible threading.
 //
+//   * One route per product: gemm_nn, gemm_nt and gemm_tn_acc always pack
+//     (DESIGN.md §5). B is repacked into contiguous NR-column strips and
+//     each MC-row slab packs its A rows into MR-row strips, so the
+//     micro-kernel streams both operands from dense panels. Ragged edges
+//     are zero-padded inside the panels and masked at the C store, so every
+//     shape, down to 1×1×1, runs the same register-tiled kernel. No entry
+//     point dispatches on m, n or k.
 //   * Loop structure: rows of C are split into MC-row slabs (the threading
 //     unit); within a slab, K is blocked by KC and columns by NC so the
 //     active B panel stays L2-resident; the innermost tile is an MR×NR
 //     register block accumulated over the K block.
-//   * Panel packing (DESIGN.md §5): above a small-problem cutoff, B is
-//     repacked once into contiguous NR-column strips and each slab packs
-//     its A rows into MR-row strips, so the micro-kernel streams both
-//     operands from dense, 64-byte-aligned panels instead of strided reads.
-//     Ragged edges are zero-padded inside the panels and masked at the C
-//     store, so every shape runs the same register-tiled kernel — nothing
-//     falls back to the naive loops.
 //   * Per-element arithmetic order depends only on the fixed block sizes,
-//     never on the thread count or on packing — each C element is produced
-//     by exactly one thread accumulating k-ascending in KC chunks, so
-//     results are identical at 1..N threads and bitwise identical between
-//     the packed and unpacked paths (tests/test_gemm.cpp).
+//     never on the thread count or on m — each C element is produced by
+//     exactly one thread accumulating k-ascending in KC chunks, so results
+//     are identical at 1..N threads and row i of a batch is bitwise equal
+//     to the same row computed alone (tests/test_gemm.cpp).
+//   * gemm_nt_rowwise is the one non-panel kernel: the NN layers' route for
+//     weights below the panel floor (panels_for_weight, DESIGN.md §6).
 //   * Thread count: GBO_NUM_THREADS / ThreadPool (common/thread_pool.hpp).
 //
 // The seed's naive loops live on as test-only oracles
-// (tests/oracles/gemm_oracles.hpp), the reference tests/test_gemm.cpp
-// checks every dispatch path against.
+// (tests/oracles/gemm_oracles.hpp).
 //
 // All pointers are row-major with explicit leading dimensions; matrices may
 // not alias. Callers (ops::matmul*) own shape validation.
@@ -50,44 +51,29 @@ inline constexpr std::size_t kMR = 6;   // rows per packed A strip
 inline constexpr std::size_t kNR = 16;  // columns per packed B strip
 
 /// C = A·B (+ C when accumulate): A[m,k] lda, B[k,n] ldb, C[m,n] ldc.
-/// Dispatches to the packed-panel path for non-tiny problems.
+/// Packs B with pack_b, then runs the packed kernel.
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate);
 
-/// C = A·Bᵀ: A[m,k] lda, B[n,k] ldb, C[m,n] ldc. Large-m shapes pack B
-/// directly from its transposed storage into column panels and run the
-/// packed kernel; `pack_scratch` (gemm_nt_scratch_floats(m, n, k) floats,
-/// 64-byte aligned), when given, provides the panel buffer so zero-alloc
-/// callers (the arena-backed serving path) keep the kernel off the heap.
-/// nullptr allocates internally.
+/// C = A·Bᵀ: A[m,k] lda, B[n,k] ldb, C[m,n] ldc. Packs B with pack_b_t
+/// into a fresh buffer, then runs gemm_prepacked — so row i of C depends
+/// only on row i of A, whatever m is.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
-             std::size_t ldc, float* pack_scratch = nullptr);
+             std::size_t ldc);
 
-/// True when gemm_nt(m, n, k, ...) takes the packed-panel path and would
-/// therefore use (or allocate) a packed-B buffer. Shape-only predicate:
-/// the conv layer uses it to dispatch its direct kernel onto exactly the
-/// shapes whose im2col route would run the packed kernel.
-bool gemm_nt_packs_b(std::size_t m, std::size_t n, std::size_t k);
-
-/// Floats of pack scratch gemm_nt needs for this shape (0 when the shape
-/// takes a direct path). Lets zero-alloc callers reserve exactly enough.
-std::size_t gemm_nt_scratch_floats(std::size_t m, std::size_t n,
-                                   std::size_t k);
-
-/// C += Aᵀ·B: A[k,m] lda, B[k,n] ldb, C[m,n] ldc.
+/// C += Aᵀ·B: A[k,m] lda, B[k,n] ldb, C[m,n] ldc. Transposes A, then
+/// accumulates with gemm_nn.
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* A,
                  std::size_t lda, const float* B, std::size_t ldb, float* C,
                  std::size_t ldc);
 
-/// Row-stable C = A·Bᵀ: the per-row multi-accumulator dot kernel for every
-/// m, with no size dispatch at all — row i's float operations (and
-/// therefore its bit pattern) are identical whether it is computed alone or
-/// inside any batch. This is the NN layers' non-panel route (DESIGN.md §6):
-/// unlike gemm_nt, whose small/direct/packed cutoffs depend on m, this
-/// kernel lets the serving runtime fuse micro-batches without moving any
-/// row across a dispatch boundary. No packing, no scratch.
+/// Row-stable C = A·Bᵀ without panels: the per-row multi-accumulator dot
+/// kernel — row i's float operations (and therefore its bit pattern) are
+/// identical whether it is computed alone or inside any batch. This is the
+/// NN layers' route for weights below the panel floor (DESIGN.md §6),
+/// where packing would cost more than it saves. No packing, no scratch.
 void gemm_nt_rowwise(std::size_t m, std::size_t n, std::size_t k,
                      const float* A, std::size_t lda, const float* B,
                      std::size_t ldb, float* C, std::size_t ldc);
@@ -108,9 +94,9 @@ std::uint64_t b_pack_count();
 
 // ---- packed-panel building blocks ----------------------------------------
 //
-// Shared by gemm_nn/gemm_nt and the direct convolution kernel
-// (nn/conv2d.cpp), which fuses its im2col patch gather into the A-panel
-// packer and therefore needs the layouts public.
+// Shared by gemm_nn/gemm_nt, the NN layers' cached weight panels and the
+// convolution infer kernel (nn/conv2d.cpp), which fuses its im2col patch
+// gather into the A-panel packer and therefore needs the layouts public.
 
 /// Size in floats of a packed-B buffer for B[k, n]: k rows × n rounded up
 /// to a whole number of kNR-column strips (the padding columns are zero).
@@ -137,7 +123,7 @@ void pack_a_panel(const float* A, std::size_t lda, std::size_t i0,
 
 /// Caller-supplied A-panel producer: must fill `dst` exactly as
 /// pack_a_panel would, but may synthesize the values from any source (the
-/// direct conv kernel gathers 3×3 input patches here, skipping im2col).
+/// conv infer kernel gathers input patches here, skipping im2col).
 ///
 /// Non-owning function reference (not std::function): a callable with
 /// capture state would heap-allocate on type erasure, putting one malloc
@@ -169,30 +155,10 @@ class PanelPacker {
 /// The packed-panel multiply core: C = (packed A)·(packed B) (+ C when
 /// accumulate), with `packedB` laid out by pack_b/pack_b_t and A panels
 /// produced on demand by `pack_a` into per-thread scratch. Bitwise
-/// reproducible at any thread count; bitwise equal to the unpacked path.
+/// reproducible at any thread count.
 void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
                       const PanelPacker& pack_a, const float* packedB,
                       float* C, std::size_t ldc, bool accumulate);
-
-/// Owning handle for a reusable packed-B panel set (DESIGN.md §6). The
-/// panel bytes are exactly what pack_b / pack_b_t produce, so running the
-/// packed kernel over a PackedB is bitwise equal to a fresh-pack call on
-/// the same matrix. Degenerate shapes (n == 0 or k == 0) yield an empty
-/// handle that the kernel entry points treat as "no contribution".
-struct PackedB {
-  std::vector<float> panels;
-  std::size_t n = 0, k = 0;
-  bool empty() const { return panels.empty(); }
-};
-
-/// Packs row-major B[k, n] (ldb) into a reusable panel handle.
-PackedB prepack_b(std::size_t k, std::size_t n, const float* B,
-                  std::size_t ldb);
-
-/// Same from transposed storage B[n, k] (ldb) — the weight matrices of the
-/// A·Bᵀ products — without materializing Bᵀ.
-PackedB prepack_b_t(std::size_t n, std::size_t k, const float* B,
-                    std::size_t ldb);
 
 /// The NN layers' shared fresh-pack fallback for uncached effective
 /// weights: packs B[n, k] (transposed storage, ldb) into arena bump
@@ -202,13 +168,12 @@ const float* pack_fresh_b_t(std::size_t n, std::size_t k, const float* B,
                             std::size_t ldb, ScratchArena* arena,
                             std::vector<float>* own);
 
-/// C = A·(packed B) (+ C when accumulate): the packed kernel over an
-/// external panel buffer laid out by pack_b/pack_b_t (or held in a
-/// PackedB). A[m, k] lda, C[m, n] ldc. Bitwise equal to gemm_nn_packed /
-/// gemm_nt on the packing path for the same operands, at any thread count.
+/// C = A·(packed B): the packed kernel over an external panel buffer laid
+/// out by pack_b/pack_b_t. A[m, k] lda, C[m, n] ldc. Bitwise equal to
+/// gemm_nn/gemm_nt for the same operands, at any thread count.
 void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
                     const float* A, std::size_t lda, const float* packedB,
-                    float* C, std::size_t ldc, bool accumulate = false);
+                    float* C, std::size_t ldc);
 
 /// The version-stamped double-checked fill shared by every frozen-weight
 /// cache (DESIGN.md §6): ensure() runs `fill` under the mutex iff
@@ -250,13 +215,12 @@ class PackedWeightCache {
   PackedWeightCache(const PackedWeightCache&) {}
   PackedWeightCache& operator=(const PackedWeightCache&) { return *this; }
 
-  /// Packed panels for the weight `B` — transposed storage [n, k] when
-  /// `transposed` (pack_b_t), row-major [k, n] otherwise (pack_b) —
-  /// repacked only when `version` differs from the stamp of the last pack.
-  /// `version` must come from one tensor object's version() timeline.
+  /// Packed panels (pack_b_t) for the weight `B`, stored transposed as
+  /// [n, k], repacked only when `version` differs from the stamp of the
+  /// last pack. `version` must come from one tensor object's version()
+  /// timeline.
   const float* get(const float* B, std::size_t ldb, std::size_t n,
-                   std::size_t k, bool transposed,
-                   std::uint64_t version) const;
+                   std::size_t k, std::uint64_t version) const;
 
   /// Lifetime repack count (1 after warmup for a frozen weight).
   std::uint64_t packs() const {
@@ -268,16 +232,5 @@ class PackedWeightCache {
   mutable std::vector<float> panels_;
   mutable std::atomic<std::uint64_t> packs_{0};
 };
-
-/// Forced-path entry points for tests and benches; `gemm_nn` dispatches
-/// between them by shape. Bitwise equal to each other for every shape.
-void gemm_nn_packed(std::size_t m, std::size_t n, std::size_t k,
-                    const float* A, std::size_t lda, const float* B,
-                    std::size_t ldb, float* C, std::size_t ldc,
-                    bool accumulate, float* pack_scratch = nullptr);
-void gemm_nn_unpacked(std::size_t m, std::size_t n, std::size_t k,
-                      const float* A, std::size_t lda, const float* B,
-                      std::size_t ldb, float* C, std::size_t ldc,
-                      bool accumulate);
 
 }  // namespace gbo::gemm

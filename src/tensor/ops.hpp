@@ -43,9 +43,10 @@ void fill_normal(Tensor& a, Rng& rng, float mean, float stddev);
 
 // ---- GEMM -----------------------------------------------------------------
 //
-// All variants dispatch to the cache-blocked multithreaded kernels in
-// tensor/gemm.hpp (thread count: GBO_NUM_THREADS). Results are bitwise
-// reproducible at any thread count.
+// All variants run the packed-panel multithreaded kernel in tensor/gemm.hpp
+// (thread count: GBO_NUM_THREADS), one route per product. Results are
+// bitwise reproducible at any thread count, and row i of a product does not
+// depend on how many rows A has.
 
 /// C = A * B with A:[m,k], B:[k,n] -> C:[m,n].
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -57,9 +57,10 @@ void check_shape(std::size_t m, std::size_t n, std::size_t k) {
   naive_gemm_nt(m, n, k, A.data(), B.data(), c_naive.data());
   std::vector<float> c_row(m * n);
   gemm_nt_rowwise(m, n, k, A.data(), k, B.data(), k, c_row.data(), n);
-  PackedB fb = prepack_b_t(n, k, B.data(), k);
+  std::vector<float> fb(packed_b_floats(n, k));
+  pack_b_t(n, k, B.data(), k, fb.data());
   std::vector<float> c_panel(m * n);
-  gemm_prepacked(m, n, k, A.data(), k, fb.panels.data(), c_panel.data(), n);
+  gemm_prepacked(m, n, k, A.data(), k, fb.data(), c_panel.data(), n);
 
   for (std::size_t i = 0; i < m * n; ++i) {
     EXPECT_EQ(c_bin[i], c_naive[i]) << "i=" << i;

@@ -95,97 +95,94 @@ TEST(Conv2d, MatchesDirectConvolution) {
   EXPECT_TRUE(ops::allclose(y, expected, 1e-4f, 1e-5f));
 }
 
-/// Direct 3×3 stride-1 kernel vs the im2col route: `infer` dispatches the
-/// direct packed kernel for these shapes, `forward` always lowers through
-/// im2col + GEMM — the two must agree bitwise at any thread count, with
-/// and without an arena (the serving configuration).
-TEST(Conv2d, DirectConvMatchesIm2colBitwiseOnNetworkShapes) {
+/// Conv2d infer (patch gather fused into the packed A panels) vs forward
+/// (im2col lowering): the two feed the same panel values to the same packed
+/// multiply, so they must agree bitwise for every geometry, at pool widths 1
+/// and 4, with and without an arena (the serving configuration), and match
+/// the reference convolution numerically.
+TEST(Conv2d, InferMatchesForwardBitwiseAcrossGeometries) {
   struct Case {
-    std::size_t in_c, hw, out_c, batch;
+    std::size_t in_c, hw, k, stride, pad, out_c, batch;
   };
-  // VGG9 conv2/conv3 (width 16, 16×16 images) and ResNet block shapes
-  // (width 32, 8×8 after the first downsample).
-  const Case cases[] = {
-      {16, 16, 16, 2}, {16, 16, 32, 4}, {32, 8, 32, 8}, {3, 16, 16, 3}};
+  std::vector<Case> cases = {
+      // VGG9 conv2/conv3 (width 16, 16×16 images) and ResNet block shapes
+      // (width 32, 8×8 after the first downsample).
+      {16, 16, 3, 1, 1, 16, 2}, {16, 16, 3, 1, 1, 32, 4},
+      {32, 8, 3, 1, 1, 32, 8},  {3, 16, 3, 1, 1, 16, 3},
+      // Stride 2, a 5×5 kernel, and pad 0 (the output grid shrinks).
+      {4, 9, 3, 2, 1, 6, 2},    {4, 9, 5, 1, 2, 6, 2},
+      {8, 12, 3, 1, 0, 16, 4},
+  };
+  // Fixed-seed random geometries: k ∈ {1, 3, 5}, stride ∈ {1, 2},
+  // pad ∈ {0, 1, 2}.
+  Rng pick(4242);
+  for (int i = 0; i < 48; ++i) {
+    Case c;
+    c.k = static_cast<std::size_t>(2 * pick.uniform_int(0, 2) + 1);
+    c.stride = static_cast<std::size_t>(pick.uniform_int(1, 2));
+    c.pad = static_cast<std::size_t>(pick.uniform_int(0, 2));
+    c.in_c = static_cast<std::size_t>(pick.uniform_int(1, 8));
+    c.hw = static_cast<std::size_t>(pick.uniform_int(
+        static_cast<std::int64_t>(c.k), 12));
+    c.out_c = static_cast<std::size_t>(pick.uniform_int(1, 20));
+    c.batch = static_cast<std::size_t>(pick.uniform_int(1, 3));
+    cases.push_back(c);
+  }
+
   ThreadPool& pool = ThreadPool::instance();
   const std::size_t restore = pool.num_threads();
   for (const Case& cs : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "in_c=" << cs.in_c << " hw=" << cs.hw << " k=" << cs.k
+                 << " stride=" << cs.stride << " pad=" << cs.pad
+                 << " out_c=" << cs.out_c << " batch=" << cs.batch);
     ConvGeom g{.in_c = cs.in_c, .in_h = cs.hw, .in_w = cs.hw,
-               .k = 3, .stride = 1, .pad = 1};
+               .k = cs.k, .stride = cs.stride, .pad = cs.pad};
     Rng rng(7 + cs.in_c);
     Conv2d conv(cs.out_c, g, /*bias=*/true, rng);
     Tensor x({cs.batch, cs.in_c, cs.hw, cs.hw});
     ops::fill_normal(x, rng, 0.0f, 1.0f);
-    const std::size_t m = cs.batch * g.out_h() * g.out_w();
-    ASSERT_TRUE(conv.direct_conv_eligible(m))
-        << "expected direct dispatch at in_c=" << cs.in_c;
 
-    Tensor results[4];
+    Tensor results[2];
     int idx = 0;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       pool.set_num_threads(threads);
-      Tensor y_im2col = conv.forward(x);
+      const Tensor y_fwd = conv.forward(x);
       EvalContext plain;
-      Tensor y_direct = conv.infer(x, plain);
-      ASSERT_EQ(y_direct.shape(), y_im2col.shape());
-      EXPECT_EQ(0, std::memcmp(y_direct.data(), y_im2col.data(),
-                               y_direct.numel() * sizeof(float)))
-          << "direct vs im2col mismatch at " << threads << " threads, in_c="
-          << cs.in_c << " out_c=" << cs.out_c;
+      Tensor y_inf = conv.infer(x, plain);
+      ASSERT_EQ(y_inf.shape(), y_fwd.shape());
+      EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
+                               y_inf.numel() * sizeof(float)))
+          << "infer vs forward mismatch at " << threads << " threads";
       ScratchArena arena;
       EvalContext with_arena(Rng(1), &arena);
-      Tensor y_arena = conv.infer(x, with_arena);
-      EXPECT_EQ(0, std::memcmp(y_arena.data(), y_im2col.data(),
+      const Tensor y_arena = conv.infer(x, with_arena);
+      EXPECT_EQ(0, std::memcmp(y_arena.data(), y_fwd.data(),
                                y_arena.numel() * sizeof(float)))
-          << "arena-backed direct conv diverged at " << threads << " threads";
-      results[idx++] = std::move(y_direct);
+          << "arena-backed infer diverged at " << threads << " threads";
+      results[idx++] = std::move(y_inf);
     }
     EXPECT_EQ(0, std::memcmp(results[0].data(), results[1].data(),
                              results[0].numel() * sizeof(float)))
-        << "direct conv not thread-count reproducible at in_c=" << cs.in_c;
+        << "infer not thread-count reproducible";
+    // The bias is zero-initialized, so the bias-free reference applies.
+    const Tensor expected = ref_conv(x, conv.weight().value, g, cs.out_c);
+    EXPECT_TRUE(ops::allclose(results[0], expected, 1e-4f, 1e-4f));
   }
   pool.set_num_threads(restore);
 }
 
-TEST(Conv2d, NonDirectShapesStillRouteThroughIm2col) {
-  // Stride 2 and 5×5 kernels are not direct-eligible; infer must keep
-  // matching forward (via the im2col route) and the reference conv.
-  struct Case {
-    std::size_t k, stride, pad;
-  };
-  for (const Case& cs : {Case{3, 2, 1}, Case{5, 1, 2}}) {
-    ConvGeom g{.in_c = 4, .in_h = 9, .in_w = 9,
-               .k = cs.k, .stride = cs.stride, .pad = cs.pad};
-    Rng rng(31);
-    Conv2d conv(6, g, /*bias=*/false, rng);
-    Tensor x({2, 4, 9, 9});
-    ops::fill_normal(x, rng, 0.0f, 1.0f);
-    const std::size_t m = 2 * g.out_h() * g.out_w();
-    EXPECT_FALSE(conv.direct_conv_eligible(m));
-    Tensor y_fwd = conv.forward(x);
-    EvalContext ctx;
-    Tensor y_inf = conv.infer(x, ctx);
-    EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
-                             y_inf.numel() * sizeof(float)));
-    Tensor expected = ref_conv(x, conv.weight().value, g, 6);
-    EXPECT_TRUE(ops::allclose(y_inf, expected, 1e-4f, 1e-4f));
-  }
-}
-
-TEST(Conv2d, DirectConvHandlesZeroPadding) {
-  // pad=0 3×3 stride-1: the packer's bounds checks never fire, but the
-  // output grid shrinks — direct dispatch must still match im2col.
-  ConvGeom g{.in_c = 8, .in_h = 12, .in_w = 12, .k = 3, .stride = 1, .pad = 0};
-  Rng rng(41);
-  Conv2d conv(16, g, /*bias=*/true, rng);
-  Tensor x({4, 8, 12, 12});
-  ops::fill_normal(x, rng, 0.0f, 1.0f);
-  ASSERT_TRUE(conv.direct_conv_eligible(4 * g.out_h() * g.out_w()));
-  Tensor y_fwd = conv.forward(x);
+TEST(Conv2d, InferRejectsInputNotMatchingGeometry) {
+  // A wrong channel count or spatial size must throw, not read past the
+  // input.
+  Rng rng(5);
+  ConvGeom g{.in_c = 8, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1};
+  Conv2d conv(4, g, /*bias=*/true, rng);
   EvalContext ctx;
-  Tensor y_inf = conv.infer(x, ctx);
-  EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
-                           y_inf.numel() * sizeof(float)));
+  EXPECT_THROW(conv.infer(Tensor({2, 4, 8, 8}), ctx), std::invalid_argument);
+  EXPECT_THROW(conv.infer(Tensor({2, 8, 4, 4}), ctx), std::invalid_argument);
+  EXPECT_THROW(conv.infer(Tensor({2, 8, 8}), ctx), std::invalid_argument);
+  EXPECT_NO_THROW(conv.infer(Tensor({2, 8, 8, 8}), ctx));
 }
 
 /// Forward + backward over a trainable and a frozen (!requires_grad) copy

@@ -204,6 +204,17 @@ TEST(QuantConv2d, InferRoutesOnGridInputThroughBinaryKernel) {
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]);
 }
 
+TEST(QuantConv2d, InferRejectsInputNotMatchingGeometry) {
+  // A mismatched input skips the bit-plane route; the float fallback must
+  // throw rather than read past the input.
+  Rng rng(25);
+  ConvGeom g{.in_c = 8, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1};
+  QuantConv2d conv(4, g, rng, /*scaled=*/true);
+  gbo::nn::EvalContext ctx;
+  EXPECT_THROW(conv.infer(Tensor({2, 4, 8, 8}), ctx), std::invalid_argument);
+  EXPECT_THROW(conv.infer(Tensor({2, 8, 4, 4}), ctx), std::invalid_argument);
+}
+
 TEST(QuantConv2d, BitPlaneRouteBitwiseAcrossGeometries) {
   // Channel counts below, at and across the 64-bit word (taps straddling
   // words, multi-word pixels), odd kernels, strides and paddings: the
