@@ -94,14 +94,17 @@ Tensor BatchNormBase::infer_ncs(const Tensor& x, std::size_t n,
   const float* rv = running_var_.value.data();
 
   for (std::size_t ch = 0; ch < c; ++ch) {
+    // Per-channel constants in locals, so the element loop vectorizes (the
+    // output cannot alias them); the arithmetic is forward_ncs's.
     const float mean = rm[ch];
     const float invstd = 1.0f / std::sqrt(rv[ch] + eps_);
+    const float gc = g[ch], bc = b[ch];
     for (std::size_t i = 0; i < n; ++i) {
       const float* row = in + (i * c + ch) * s;
       float* orow = xo + (i * c + ch) * s;
       for (std::size_t j = 0; j < s; ++j) {
         const float xhat = (row[j] - mean) * invstd;
-        orow[j] = g[ch] * xhat + b[ch];
+        orow[j] = gc * xhat + bc;
       }
     }
   }
@@ -193,6 +196,8 @@ Tensor BatchNorm1d::infer(const Tensor& x, EvalContext& ctx) const {
 }
 
 Tensor BatchNorm1d::backward(const Tensor& grad_out) {
+  if (grad_out.shape() != cached_xhat_.shape())
+    throw std::invalid_argument("BatchNorm1d::backward: shape mismatch");
   return backward_ncs(grad_out, grad_out.dim(0), 1);
 }
 

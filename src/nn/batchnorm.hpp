@@ -22,8 +22,11 @@ class BatchNormBase : public Module {
 
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
+  const Param& gamma() const { return gamma_; }
+  const Param& beta() const { return beta_; }
   const Tensor& running_mean() const { return running_mean_.value; }
   const Tensor& running_var() const { return running_var_.value; }
+  std::size_t num_features() const { return features_; }
 
  protected:
   /// x viewed as [N, C, S]; returns normalized output of the same layout.

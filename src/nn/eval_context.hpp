@@ -34,6 +34,7 @@
 #include "tensor/arena.hpp"
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace gbo::nn {
@@ -73,5 +74,21 @@ struct EvalContext {
     if (arena) arena->put(std::move(t));
   }
 };
+
+/// n elements of in-layer scratch (floats or packed words): bump memory
+/// inside the caller's ArenaFrame when the context carries an arena, `own`
+/// otherwise.
+template <typename T>
+T* scratch(EvalContext& ctx, std::size_t n, std::vector<T>& own) {
+  static_assert(std::is_same_v<T, float> || std::is_same_v<T, std::uint64_t>);
+  if (ctx.arena) {
+    if constexpr (std::is_same_v<T, float>)
+      return ctx.arena->alloc_floats(n);
+    else
+      return ctx.arena->alloc_words(n);
+  }
+  own.resize(n);
+  return own.data();
+}
 
 }  // namespace gbo::nn

@@ -8,6 +8,13 @@ Tensor Module::infer(const Tensor& /*x*/, EvalContext& /*ctx*/) const {
   throw std::logic_error(kind() + ": stateless infer() not implemented");
 }
 
+std::size_t Module::infer_run(std::span<const ModulePtr> /*run*/,
+                              const Tensor& x, EvalContext& ctx,
+                              Tensor& out) const {
+  out = infer(x, ctx);
+  return 1;
+}
+
 void Module::collect_state(const std::string& prefix, StateDict& out) {
   for (Param* p : params())
     out[prefix + p->name] = NamedBlob{p->value.shape(), p->value.vec()};

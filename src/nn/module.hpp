@@ -18,6 +18,13 @@
 // from the caller's EvalContext. Concurrent infer calls over the same
 // module are safe as long as each uses its own context; this is what the
 // trial-parallel noisy evaluation in core/pipeline builds on.
+//
+// A container runs its children through infer_run, the one fusion seam: a
+// module may consume a run of its following siblings in one call and
+// returns how many it consumed. The default consumes one (plain infer);
+// QuantConv2d overrides it to run [conv, BN, QuantTanh, MaxPool?] blocks as
+// a level-domain chain (DESIGN.md §8). A fused run must be bitwise equal to
+// calling each consumed module's infer in turn.
 #pragma once
 
 #include "common/serialize.hpp"
@@ -25,10 +32,14 @@
 #include "tensor/tensor.hpp"
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace gbo::nn {
+
+class Module;
+using ModulePtr = std::unique_ptr<Module>;
 
 /// A learnable tensor plus its gradient accumulator.
 struct Param {
@@ -60,6 +71,15 @@ class Module {
   /// every concrete layer of this library overrides it.
   virtual Tensor infer(const Tensor& x, EvalContext& ctx) const;
 
+  /// Stateless infer over this module and its following siblings: run[0]
+  /// is this module, run[1..] the siblings after it in the container.
+  /// Consumes run[0, n) for some n >= 1, stores what run[n - 1]'s infer
+  /// would have returned in `out`, and returns n — bitwise what the
+  /// one-at-a-time loop gives. Default: n = 1, out = infer(x, ctx).
+  virtual std::size_t infer_run(std::span<const ModulePtr> run,
+                                const Tensor& x, EvalContext& ctx,
+                                Tensor& out) const;
+
   /// Direct child modules, for read-only tree walks (the serving backend's
   /// stochastic-hook scan). Containers override; leaf layers return {}.
   virtual std::vector<const Module*> children() const { return {}; }
@@ -89,7 +109,5 @@ class Module {
  protected:
   bool training_ = true;
 };
-
-using ModulePtr = std::unique_ptr<Module>;
 
 }  // namespace gbo::nn

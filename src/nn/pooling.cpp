@@ -5,6 +5,16 @@
 
 namespace gbo::nn {
 
+MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
+  if (window == 0)
+    throw std::invalid_argument("MaxPool2d: window must be >= 1");
+}
+
+AvgPool2d::AvgPool2d(std::size_t window) : window_(window) {
+  if (window == 0)
+    throw std::invalid_argument("AvgPool2d: window must be >= 1");
+}
+
 Tensor MaxPool2d::pool(const Tensor& x, std::vector<std::size_t>* argmax,
                        EvalContext* ctx) const {
   if (x.ndim() != 4) throw std::invalid_argument("MaxPool2d: expected NCHW");
@@ -43,15 +53,32 @@ Tensor MaxPool2d::pool(const Tensor& x, std::vector<std::size_t>* argmax,
 }
 
 Tensor MaxPool2d::forward(const Tensor& x) {
+  Tensor out = pool(x, &cached_argmax_, nullptr);
   cached_shape_ = x.shape();
-  return pool(x, &cached_argmax_, nullptr);
+  return out;
 }
 
 Tensor MaxPool2d::infer(const Tensor& x, EvalContext& ctx) const {
   return pool(x, nullptr, &ctx);
 }
 
+namespace {
+
+/// True when grad_out has the pooled shape of the cached forward input.
+bool matches_pooled(const Tensor& grad_out,
+                    const std::vector<std::size_t>& in_shape,
+                    std::size_t window) {
+  return in_shape.size() == 4 &&
+         grad_out.shape() == std::vector<std::size_t>{in_shape[0], in_shape[1],
+                                                      in_shape[2] / window,
+                                                      in_shape[3] / window};
+}
+
+}  // namespace
+
 Tensor MaxPool2d::backward(const Tensor& grad_out) {
+  if (!matches_pooled(grad_out, cached_shape_, window_))
+    throw std::invalid_argument("MaxPool2d::backward: shape mismatch");
   Tensor grad_in(cached_shape_);
   float* gi = grad_in.data();
   const float* go = grad_out.data();
@@ -88,8 +115,9 @@ Tensor AvgPool2d::pool(const Tensor& x, EvalContext* ctx) const {
 }
 
 Tensor AvgPool2d::forward(const Tensor& x) {
+  Tensor out = pool(x, nullptr);
   cached_shape_ = x.shape();
-  return pool(x, nullptr);
+  return out;
 }
 
 Tensor AvgPool2d::infer(const Tensor& x, EvalContext& ctx) const {
@@ -97,6 +125,8 @@ Tensor AvgPool2d::infer(const Tensor& x, EvalContext& ctx) const {
 }
 
 Tensor AvgPool2d::backward(const Tensor& grad_out) {
+  if (!matches_pooled(grad_out, cached_shape_, window_))
+    throw std::invalid_argument("AvgPool2d::backward: shape mismatch");
   const std::size_t n = cached_shape_[0], c = cached_shape_[1],
                     h = cached_shape_[2], w = cached_shape_[3];
   const std::size_t oh = h / window_, ow = w / window_;

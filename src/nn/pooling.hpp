@@ -7,12 +7,15 @@ namespace gbo::nn {
 
 class MaxPool2d : public Module {
  public:
-  explicit MaxPool2d(std::size_t window) : window_(window) {}
+  /// Throws std::invalid_argument for a zero window.
+  explicit MaxPool2d(std::size_t window);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor infer(const Tensor& x, EvalContext& ctx) const override;
   std::string kind() const override { return "MaxPool2d"; }
+
+  std::size_t window() const { return window_; }
 
  private:
   /// Shared forward body; records per-cell argmax when `argmax` is non-null
@@ -28,7 +31,8 @@ class MaxPool2d : public Module {
 
 class AvgPool2d : public Module {
  public:
-  explicit AvgPool2d(std::size_t window) : window_(window) {}
+  /// Throws std::invalid_argument for a zero window.
+  explicit AvgPool2d(std::size_t window);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;

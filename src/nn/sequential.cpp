@@ -6,12 +6,17 @@ Tensor Sequential::forward(const Tensor& x) { return forward_suffix(x, 0); }
 
 Tensor Sequential::infer(const Tensor& x, EvalContext& ctx) const {
   if (modules_.empty()) return x;
-  // First layer reads the caller's input directly (no copy); every finished
-  // intermediate goes back to the context's arena, so a long-lived serving
-  // context replays the whole chain without touching the heap.
-  Tensor cur = modules_.front()->infer(x, ctx);
-  for (std::size_t i = 1; i < modules_.size(); ++i) {
-    Tensor next = modules_[i]->infer(cur, ctx);
+  // Each child runs through the fusion seam (Module::infer_run) and may
+  // consume the siblings after it. The first call reads the caller's input
+  // directly (no copy); every finished intermediate goes back to the
+  // context's arena, so a long-lived serving context replays the whole
+  // chain without touching the heap.
+  const std::span<const ModulePtr> all(modules_);
+  Tensor cur;
+  std::size_t i = modules_.front()->infer_run(all, x, ctx, cur);
+  while (i < modules_.size()) {
+    Tensor next;
+    i += modules_[i]->infer_run(all.subspan(i), cur, ctx, next);
     ctx.recycle(std::move(cur));
     cur = std::move(next);
   }

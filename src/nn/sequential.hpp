@@ -1,4 +1,9 @@
 // Ordered container of modules; owns them and chains forward/backward.
+//
+// infer walks the children through Module::infer_run, so a child may fuse
+// with the siblings that follow it (QuantConv2d's level-domain chain,
+// DESIGN.md §8); the result is bitwise the per-module loop over
+// at(i).infer, which the tests keep as the oracle.
 #pragma once
 
 #include "nn/module.hpp"

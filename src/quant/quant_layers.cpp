@@ -1,16 +1,20 @@
 #include "quant/quant_layers.hpp"
 
+#include "nn/pooling.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_binary.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 namespace gbo::quant {
 namespace {
+
+using gbo::nn::scratch;
 
 /// The digital-scale epilogue (DESIGN.md §8): one elementwise multiply after
 /// the unscaled ±1 MVM. Shared verbatim by forward and infer — the multiply
@@ -20,20 +24,6 @@ void scale_output(Tensor& out, bool scaled, float scale) {
   if (!scaled) return;
   float* p = out.data();
   for (std::size_t i = 0; i < out.numel(); ++i) p[i] *= scale;
-}
-
-/// n elements of MVM scratch: bump memory inside the caller's ArenaFrame
-/// when the context carries an arena, `own` otherwise.
-template <typename T>
-T* scratch(gbo::nn::EvalContext& ctx, std::size_t n, std::vector<T>& own) {
-  if (ctx.arena) {
-    if constexpr (std::is_same_v<T, float>)
-      return ctx.arena->alloc_floats(n);
-    else
-      return ctx.arena->alloc_words(n);
-  }
-  own.resize(n);
-  return own.data();
 }
 
 }  // namespace
@@ -178,6 +168,63 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   scale_output(out, scaled_, scale);
   hook_->infer_output(out, ctx.rng, ctx.row_ids);
   return out;
+}
+
+bool QuantConv2d::chain_member(const gbo::nn::BatchNorm2d& bn,
+                               const QuantTanh& act, std::size_t window,
+                               ChainMember* member) const {
+  if (hook_ || bn.num_features() != out_c_) return false;
+  const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
+  if (oh % window != 0 || ow % window != 0) return false;
+  const float* bw;
+  const float* panels;
+  const gemm::PackedBinaryB* bwords;
+  float scale;
+  cache_.get(weight_.value, scaled_, out_c_, geom_.patch_len(),
+             /*want_panels=*/true, &bw, &panels, &bwords, &scale, &geom_);
+  if (bwords->empty()) return false;
+  const LevelThresholds* thr = thresholds_.get(
+      weight_.value, geom_.patch_len(), scaled_, scale, bn, act);
+  if (thr == nullptr) return false;
+  *member = ChainMember{&geom_, out_c_, bwords, thr, window};
+  return true;
+}
+
+std::size_t QuantConv2d::infer_run(std::span<const gbo::nn::ModulePtr> run,
+                                   const Tensor& x, gbo::nn::EvalContext& ctx,
+                                   Tensor& out) const {
+  // Collect the chain: each block must start where the previous one ended
+  // and read exactly the previous block's output shape. Longer runs split
+  // into consecutive chains (each exact, so the split changes no bit).
+  constexpr std::size_t kMaxMembers = 16;
+  std::array<ChainMember, kMaxMembers> members;
+  std::size_t n = 0, used = 0;
+  std::size_t c = geom_.in_c, h = geom_.in_h, w = geom_.in_w;
+  assert(!run.empty() && run[0].get() == this);
+  while (n < kMaxMembers && used + 3 <= run.size()) {
+    using gbo::nn::BatchNorm2d, gbo::nn::MaxPool2d;
+    const auto* conv = dynamic_cast<const QuantConv2d*>(run[used].get());
+    const auto* bn = dynamic_cast<const BatchNorm2d*>(run[used + 1].get());
+    const auto* act = dynamic_cast<const QuantTanh*>(run[used + 2].get());
+    if (!conv || !bn || !act || conv->geom_.in_c != c ||
+        conv->geom_.in_h != h || conv->geom_.in_w != w)
+      break;
+    const auto* pool =
+        used + 3 < run.size()
+            ? dynamic_cast<const MaxPool2d*>(run[used + 3].get())
+            : nullptr;
+    const std::size_t window = pool ? pool->window() : 1;
+    if (!conv->chain_member(*bn, *act, window, &members[n])) break;
+    ++n;
+    used += pool ? 4 : 3;
+    c = conv->out_c_;
+    h = conv->geom_.out_h() / window;
+    w = conv->geom_.out_w() / window;
+  }
+  if (n >= 2 && run_level_chain({members.data(), n}, x, ctx, out))
+    return used;
+  out = infer(x, ctx);
+  return 1;
 }
 
 QuantLinear::QuantLinear(std::size_t in_features, std::size_t out_features,

@@ -20,6 +20,7 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "quant/level_chain.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_binary.hpp"
 
@@ -140,6 +141,14 @@ class Hookable {
   virtual gbo::nn::Param& latent_weight() = 0;
 };
 
+/// Binary-weight conv. Its infer_run is the level-domain chain (DESIGN.md
+/// §8): starting at this layer, it takes the longest run of consecutive
+/// hook-free [QuantConv2d, BatchNorm2d, QuantTanh(9), MaxPool2d?] blocks
+/// whose shapes chain and whose threshold tables are valid, and when that
+/// run has at least two blocks and this layer's input is on the 9-level
+/// grid, runs it on pixel planes and consumes all of its modules. Anything
+/// else — a hook, another level count, a single block, an off-grid input —
+/// consumes only this layer, through infer().
 class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
  public:
   /// Crossbar layers are bias-free (see MvmNoiseHook); `scaled` selects the
@@ -150,6 +159,9 @@ class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   Tensor infer(const Tensor& x, gbo::nn::EvalContext& ctx) const override;
+  std::size_t infer_run(std::span<const gbo::nn::ModulePtr> run,
+                        const Tensor& x, gbo::nn::EvalContext& ctx,
+                        Tensor& out) const override;
   std::string kind() const override { return "QuantConv2d"; }
 
   void set_noise_hook(MvmNoiseHook* hook) override { hook_ = hook; }
@@ -179,6 +191,12 @@ class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
                    const float* bw, const float* panels,
                    const gbo::gemm::PackedBinaryB& bwords) const;
 
+  /// This layer as a chain member ahead of `bn`, `act` and a `window` pool;
+  /// false when it cannot be one (hook, channel mismatch, empty weight,
+  /// invalid thresholds — which covers act levels other than 9).
+  bool chain_member(const gbo::nn::BatchNorm2d& bn, const QuantTanh& act,
+                    std::size_t window, ChainMember* member) const;
+
   bool scaled_;
   MvmNoiseHook* hook_ = nullptr;
   Tensor binary_weight_;
@@ -186,6 +204,9 @@ class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
   // Frozen binarized weight + packed float/binary panels for the stateless
   // infer path, keyed on weight_.value.version().
   BinaryPanelCache cache_;
+  // The level-domain chain's thresholds for the BN + QuantTanh after this
+  // layer, keyed on the weight's and BN's versions.
+  ThresholdCache thresholds_;
 };
 
 class QuantLinear : public gbo::nn::Linear, public Hookable {

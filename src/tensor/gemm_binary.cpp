@@ -52,6 +52,29 @@ void xpr_scalar(const std::uint64_t* a, const std::uint64_t* W,
   }
 }
 
+// Threshold epilogue: one compare per (channel, plane). The scalar kernel
+// is the oracle the vector ones are gated against.
+void thr_scalar(const float* v, std::size_t m, std::size_t c,
+                const std::uint32_t* flip, const float* thr, std::size_t ldt,
+                std::uint64_t* planes) {
+  const std::size_t cw = binary_words(c);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* vi = v + i * c;
+    std::uint64_t* pi = planes + i * cw * kBinaryPlanes;
+    for (std::size_t w = 0; w < cw; ++w) {
+      std::uint64_t word[kBinaryPlanes] = {0};
+      for (std::size_t j = w * 64; j < std::min(c, w * 64 + 64); ++j) {
+        const float key = std::bit_cast<float>(
+            std::bit_cast<std::uint32_t>(vi[j]) ^ flip[j]);
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+          word[t] |= static_cast<std::uint64_t>(key >= thr[t * ldt + j])
+                     << (j % 64);
+      }
+      std::memcpy(pi + w * kBinaryPlanes, word, sizeof(word));
+    }
+  }
+}
+
 #if defined(GBO_BINARY_X86)
 
 // AVX2 has no vector popcount; the classic vpshufb nibble LUT counts bits in
@@ -125,6 +148,70 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void xpr_avx512(
   }
 }
 
+// Threshold epilogue, 8 channels per compare: the lane mask of a masked
+// load keeps reads inside the row and bits >= c zero.
+__attribute__((target("avx2"))) void thr_avx2(const float* v, std::size_t m,
+                                              std::size_t c,
+                                              const std::uint32_t* flip,
+                                              const float* thr,
+                                              std::size_t ldt,
+                                              std::uint64_t* planes) {
+  const std::size_t cw = binary_words(c);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* vi = v + i * c;
+    std::uint64_t* pi = planes + i * cw * kBinaryPlanes;
+    for (std::size_t w = 0; w < cw; ++w) {
+      std::uint64_t word[kBinaryPlanes] = {0};
+      for (std::size_t j0 = w * 64; j0 < std::min(c, w * 64 + 64); j0 += 8) {
+        const int n = static_cast<int>(std::min<std::size_t>(8, c - j0));
+        const __m256i live = _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lane);
+        const __m256 key = _mm256_castsi256_ps(_mm256_xor_si256(
+            _mm256_castps_si256(_mm256_maskload_ps(vi + j0, live)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(flip + j0))));
+        const unsigned keep = (1u << n) - 1;
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
+          const unsigned ge = static_cast<unsigned>(_mm256_movemask_ps(
+              _mm256_cmp_ps(key, _mm256_loadu_ps(thr + t * ldt + j0),
+                            _CMP_GE_OQ)));
+          word[t] |= static_cast<std::uint64_t>(ge & keep) << (j0 % 64);
+        }
+      }
+      std::memcpy(pi + w * kBinaryPlanes, word, sizeof(word));
+    }
+  }
+}
+
+// Threshold epilogue, 16 channels per compare into an opmask.
+__attribute__((target("avx512f"))) void thr_avx512(const float* v,
+                                                   std::size_t m, std::size_t c,
+                                                   const std::uint32_t* flip,
+                                                   const float* thr,
+                                                   std::size_t ldt,
+                                                   std::uint64_t* planes) {
+  const std::size_t cw = binary_words(c);
+  for (std::size_t i = 0; i < m; ++i) {
+    const float* vi = v + i * c;
+    std::uint64_t* pi = planes + i * cw * kBinaryPlanes;
+    for (std::size_t w = 0; w < cw; ++w) {
+      std::uint64_t word[kBinaryPlanes] = {0};
+      for (std::size_t j0 = w * 64; j0 < std::min(c, w * 64 + 64); j0 += 16) {
+        const std::size_t n = std::min<std::size_t>(16, c - j0);
+        const __mmask16 live = static_cast<__mmask16>((1u << n) - 1);
+        const __m512 key = _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(_mm512_maskz_loadu_ps(live, vi + j0)),
+            _mm512_loadu_si512(flip + j0)));
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+          word[t] |= static_cast<std::uint64_t>(_mm512_mask_cmp_ps_mask(
+                         live, key, _mm512_loadu_ps(thr + t * ldt + j0),
+                         _CMP_GE_OQ))
+                     << (j0 % 64);
+      }
+      std::memcpy(pi + w * kBinaryPlanes, word, sizeof(word));
+    }
+  }
+}
+
 #endif  // GBO_BINARY_X86
 
 #if defined(__ARM_NEON)
@@ -154,13 +241,14 @@ void xpr_neon(const std::uint64_t* a, const std::uint64_t* W,
 
 #endif  // __ARM_NEON
 
-constexpr BinaryKernel kScalarKernel{"scalar", &xpr_scalar};
+constexpr BinaryKernel kScalarKernel{"scalar", &xpr_scalar, &thr_scalar};
 #if defined(GBO_BINARY_X86)
-constexpr BinaryKernel kAvx2Kernel{"avx2", &xpr_avx2};
-constexpr BinaryKernel kAvx512Kernel{"avx512_vpopcntdq", &xpr_avx512};
+constexpr BinaryKernel kAvx2Kernel{"avx2", &xpr_avx2, &thr_avx2};
+constexpr BinaryKernel kAvx512Kernel{"avx512_vpopcntdq", &xpr_avx512,
+                                     &thr_avx512};
 #endif
 #if defined(__ARM_NEON)
-constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon};
+constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon, &thr_scalar};
 #endif
 
 // ---- CPUID feature probe -------------------------------------------------
@@ -232,6 +320,18 @@ const BinaryKernel& binary_kernel() {
 }
 
 const BinaryKernel& binary_kernel_scalar() { return kScalarKernel; }
+
+std::vector<const BinaryKernel*> binary_kernels_supported() {
+  std::vector<const BinaryKernel*> out{&kScalarKernel};
+#if defined(GBO_BINARY_X86)
+  if (cpu().avx2) out.push_back(&kAvx2Kernel);
+  if (cpu().avx512vpopcntdq) out.push_back(&kAvx512Kernel);
+#endif
+#if defined(__ARM_NEON)
+  out.push_back(&kNeonKernel);
+#endif
+  return out;
+}
 
 const char* binary_kernel_name() { return binary_kernel().name; }
 
@@ -421,17 +521,22 @@ bool pack_binary_pixels(const float* x, std::size_t batch,
   return ok.load(std::memory_order_relaxed);
 }
 
-void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
-                      std::size_t k, const std::uint64_t* packedA,
-                      const PackedBinaryB& B, float* C, std::size_t ldc) {
+namespace {
+
+/// Weight rows per kernel call of the row loop (whole plane words).
+constexpr std::size_t kBinaryChunk = 32 * kBinaryPanel;
+static_assert(kBinaryChunk % 64 == 0);
+
+/// The shared XNOR row loop: emit(i, j0, nj, vals) receives the unscaled
+/// outputs C[i, j0 .. j0 + nj) as floats in a stack chunk. Counts one
+/// binary MVM.
+template <typename Emit>
+void binary_rows(const BinaryKernel& kern, std::size_t m, std::size_t n,
+                 std::size_t k, const std::uint64_t* packedA,
+                 const PackedBinaryB& B, Emit&& emit) {
   assert(B.n == n && B.k == k);
   if (m == 0 || n == 0) return;
   g_binary_mvms.fetch_add(1, std::memory_order_relaxed);
-  if (k == 0) {
-    for (std::size_t i = 0; i < m; ++i)
-      std::memset(C + i * ldc, 0, n * sizeof(float));
-    return;
-  }
   GBO_TRACE_SPAN(obs::EventType::kBinaryMvm, m,
                  static_cast<std::uint16_t>(n < 65535 ? n : 65535),
                  2ull * m * n * k);
@@ -443,36 +548,112 @@ void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
   // (8k - 2P)/8 is an integer multiple of 1/4 below 2^24: the int->float
   // conversion and the 0.125f (power of two) multiply are both exact, which
   // is what makes this equal to the float kernels bit for bit.
-  // The kernel runs over chunks of kChunk weight rows, so the popcount
-  // buffer lives on the stack; the last chunk's padding-row lanes are
-  // computed and dropped.
-  constexpr std::size_t kChunk = 32 * kBinaryPanel;
+  // The kernel runs over chunks of kChunk weight rows (a multiple of 64, so
+  // a chunk covers whole plane words), so the popcount and value buffers
+  // live on the stack; the last chunk's padding-row lanes are computed and
+  // dropped. k == 0 leaves every popcount 0: the outputs are +0.
   // Rows per task: at least ~64K word XOR-popcounts, so unit-batch serving
   // shapes run inline instead of paying the pool's wake-up per call.
-  const std::size_t grain =
-      std::max<std::size_t>(1, 65536 / (binary_panels(n) * kw * kBinaryPanel *
-                                        kBinaryPlanes / 8));
+  const std::size_t grain = std::max<std::size_t>(
+      1, 65536 / (binary_panels(n) * std::max<std::size_t>(kw, 1) *
+                  kBinaryPanel * kBinaryPlanes / 8));
   parallel_for(0, m, grain, [&](std::size_t lo, std::size_t hi) {
-    std::uint64_t pops[kChunk] = {};
+    std::uint64_t pops[kBinaryChunk] = {};
+    float vals[kBinaryChunk];
     for (std::size_t i = lo; i < hi; ++i) {
       const std::uint64_t* ai = packedA + i * kBinaryPlanes * kw;
-      float* Ci = C + i * ldc;
-      for (std::size_t j0 = 0; j0 < n; j0 += kChunk) {
-        const std::size_t nj = std::min(kChunk, n - j0);
-        fn(ai, wwords + j0 * kw, binary_panels(nj), kw, pops);
+      for (std::size_t j0 = 0; j0 < n; j0 += kBinaryChunk) {
+        const std::size_t nj = std::min(kBinaryChunk, n - j0);
+        if (kw > 0) fn(ai, wwords + j0 * kw, binary_panels(nj), kw, pops);
         for (std::size_t j = 0; j < nj; ++j) {
           const std::int64_t pop = static_cast<std::int64_t>(pops[j]);
-          Ci[j0 + j] = static_cast<float>(mk - 2 * pop) * 0.125f;
+          vals[j] = static_cast<float>(mk - 2 * pop) * 0.125f;
         }
+        emit(i, j0, nj, vals);
       }
     }
   });
+}
+
+}  // namespace
+
+void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
+                      std::size_t k, const std::uint64_t* packedA,
+                      const PackedBinaryB& B, float* C, std::size_t ldc) {
+  binary_rows(kern, m, n, k, packedA, B,
+              [&](std::size_t i, std::size_t j0, std::size_t nj,
+                  const float* vals) {
+                std::memcpy(C + i * ldc + j0, vals, nj * sizeof(float));
+              });
 }
 
 void gemm_binary(std::size_t m, std::size_t n, std::size_t k,
                  const std::uint64_t* packedA, const PackedBinaryB& B, float* C,
                  std::size_t ldc) {
   gemm_binary_with(binary_kernel(), m, n, k, packedA, B, C, ldc);
+}
+
+void gemm_binary_threshold_with(const BinaryKernel& kern, std::size_t m,
+                                std::size_t n, std::size_t k,
+                                const std::uint64_t* packedA,
+                                const PackedBinaryB& B,
+                                const std::uint32_t* flip, const float* thr,
+                                std::uint64_t* planes) {
+  const std::size_t ldt = threshold_stride(n);
+  const std::size_t row_words = binary_words(n) * kBinaryPlanes;
+  binary_rows(kern, m, n, k, packedA, B,
+              [&](std::size_t i, std::size_t j0, std::size_t nj,
+                  const float* vals) {
+                kern.threshold_rows(
+                    vals, 1, nj, flip + j0, thr + j0, ldt,
+                    planes + i * row_words + j0 / 64 * kBinaryPlanes);
+              });
+}
+
+void gemm_binary_threshold(std::size_t m, std::size_t n, std::size_t k,
+                           const std::uint64_t* packedA,
+                           const PackedBinaryB& B, const std::uint32_t* flip,
+                           const float* thr, std::uint64_t* planes) {
+  gemm_binary_threshold_with(binary_kernel(), m, n, k, packedA, B, flip, thr,
+                             planes);
+}
+
+void or_pool_planes(const std::uint64_t* src, std::size_t batch,
+                    std::size_t h, std::size_t w, std::size_t channels,
+                    std::size_t window, std::uint64_t* dst) {
+  assert(window > 0 && h % window == 0 && w % window == 0);
+  const std::size_t row = binary_words(channels) * kBinaryPlanes;
+  const std::size_t oh = h / window, ow = w / window;
+  for (std::size_t noy = 0; noy < batch * oh; ++noy) {
+    const std::size_t n = noy / oh, oy = noy % oh;
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      std::uint64_t* out = dst + (noy * ow + ox) * row;
+      std::fill(out, out + row, 0ull);
+      for (std::size_t dy = 0; dy < window; ++dy)
+        for (std::size_t dx = 0; dx < window; ++dx) {
+          const std::uint64_t* in =
+              src + ((n * h + oy * window + dy) * w + ox * window + dx) * row;
+          for (std::size_t i = 0; i < row; ++i) out[i] |= in[i];
+        }
+    }
+  }
+}
+
+void decode_planes(const std::uint64_t* planes, std::size_t batch,
+                   std::size_t channels, std::size_t hw, float* dst) {
+  const std::size_t cw = binary_words(channels);
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t p = 0; p < hw; ++p) {
+      const std::uint64_t* px = planes + (n * hw + p) * cw * kBinaryPlanes;
+      for (std::size_t c = 0; c < channels; ++c) {
+        const std::uint64_t* word = px + (c / 64) * kBinaryPlanes;
+        int level = 0;
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+          level += static_cast<int>((word[t] >> (c % 64)) & 1u);
+        dst[(n * channels + c) * hw + p] =
+            static_cast<float>(level) * 0.25f - 1.0f;
+      }
+    }
 }
 
 }  // namespace gbo::gemm

@@ -109,18 +109,39 @@ bool pack_binary_pixels(const float* x, std::size_t batch,
                         std::size_t channels, std::size_t hw,
                         std::uint64_t* dst);
 
-/// One registry entry: xor_popcount_row fills pops[j] with the total
-/// popcount of (a XOR W_j) over kBinaryPlanes planes of kw words, for every
-/// weight row j of `panels` weight panels (j < panels·kBinaryPanel; a: one
-/// pack_binary_a row; W: the PackedBinaryB panel layout). Panel
-/// granularity is the perf contract: each weight word is loaded once and
-/// XORed against all 8 activation planes, one lane per weight row, so the
-/// per-row popcounts accumulate in place with no horizontal reduction.
+/// Row stride of a threshold table over `channels` channels: whole 64-bit
+/// words, so the epilogue kernels read thresholds and flip masks in full
+/// vectors. Padding entries are +inf thresholds and zero flips.
+inline std::size_t threshold_stride(std::size_t channels) {
+  return binary_words(channels) * 64;
+}
+
+/// One registry entry.
+///
+/// xor_popcount_row fills pops[j] with the total popcount of (a XOR W_j)
+/// over kBinaryPlanes planes of kw words, for every weight row j of
+/// `panels` weight panels (j < panels·kBinaryPanel; a: one pack_binary_a
+/// row; W: the PackedBinaryB panel layout). Panel granularity is the perf
+/// contract: each weight word is loaded once and XORed against all 8
+/// activation planes, one lane per weight row, so the per-row popcounts
+/// accumulate in place with no horizontal reduction.
+///
+/// threshold_rows is the level-domain chain's epilogue (DESIGN.md §8): for
+/// each of m rows v[i, 0..c) (row stride c) it writes one pixel-plane row
+/// of binary_words(c)·kBinaryPlanes words, bit j % 64 of
+/// planes[(i·cw + j / 64)·kBinaryPlanes + t] set iff
+/// key(v[i, j]) >= thr[t·ldt + j], where key flips the sign bit of v by
+/// flip[j] (0 or 0x80000000). Bits j >= c are zero. thr and flip are read
+/// in whole words: entries up to binary_words(c)·64 must be readable. Each
+/// plane word is a compare mask, so no level byte is ever materialized.
 struct BinaryKernel {
   const char* name;
   void (*xor_popcount_row)(const std::uint64_t* a, const std::uint64_t* W,
                            std::size_t panels, std::size_t kw,
                            std::uint64_t* pops);
+  void (*threshold_rows)(const float* v, std::size_t m, std::size_t c,
+                         const std::uint32_t* flip, const float* thr,
+                         std::size_t ldt, std::uint64_t* planes);
 };
 
 /// The micro-kernel selected once per process: best CPUID-supported ISA, or
@@ -130,6 +151,10 @@ const BinaryKernel& binary_kernel();
 /// The always-available scalar kernel (the in-tree reference the dispatched
 /// kernel is gated against).
 const BinaryKernel& binary_kernel_scalar();
+
+/// Every registry kernel this CPU can run, scalar first (tests gate each
+/// against the scalar one).
+std::vector<const BinaryKernel*> binary_kernels_supported();
 
 /// Name of the dispatched kernel ("scalar" / "avx2" / "avx512_vpopcntdq" /
 /// "neon") — recorded in the bench JSON so CI artifacts document the ISA
@@ -158,5 +183,41 @@ void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
 /// Process-wide count of gemm_binary dispatches; the benches diff it to
 /// prove the quant layers actually took the XNOR/popcount route.
 std::uint64_t binary_mvm_count();
+
+// ---- level-domain chain kernels (DESIGN.md §8) ----------------------------
+
+/// gemm_binary with the level-domain threshold epilogue fused per row:
+/// each row of the unscaled MVM output [m, n] goes through the dispatched
+/// kernel's threshold_rows (table stride threshold_stride(n)) straight
+/// into m pixel-plane rows, with no float output matrix. Bitwise what
+/// gemm_binary followed by threshold_rows over its output gives; counts
+/// as one binary MVM.
+void gemm_binary_threshold(std::size_t m, std::size_t n, std::size_t k,
+                           const std::uint64_t* packedA,
+                           const PackedBinaryB& B, const std::uint32_t* flip,
+                           const float* thr, std::uint64_t* planes);
+
+/// Same, with an explicit registry kernel for both halves.
+void gemm_binary_threshold_with(const BinaryKernel& kern, std::size_t m,
+                                std::size_t n, std::size_t k,
+                                const std::uint64_t* packedA,
+                                const PackedBinaryB& B,
+                                const std::uint32_t* flip, const float* thr,
+                                std::uint64_t* planes);
+
+/// Max-pool in the level domain: the max of two thermometer codes is their
+/// bitwise OR, so output pixel (n, y, x) of a window×window pool is the OR
+/// of its input pixels' plane words. src: pixel planes of [batch, h, w]
+/// pixels over `channels`; dst: [batch, h / window, w / window] pixels.
+/// h and w must be multiples of window.
+void or_pool_planes(const std::uint64_t* src, std::size_t batch,
+                    std::size_t h, std::size_t w, std::size_t channels,
+                    std::size_t window, std::uint64_t* dst);
+
+/// Pixel planes of [batch, hw] pixels over `channels` -> NCHW floats: the
+/// level l of a thermometer code decodes to the 9-level grid value
+/// l·0.25f - 1.0f (what QuantTanh(9) emits for level l, bit for bit).
+void decode_planes(const std::uint64_t* planes, std::size_t batch,
+                   std::size_t channels, std::size_t hw, float* dst);
 
 }  // namespace gbo::gemm

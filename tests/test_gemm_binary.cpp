@@ -4,6 +4,7 @@
 // every registry micro-kernel.
 #include "tensor/gemm_binary.hpp"
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gemm_oracles.hpp"
 #include "quant/binary_weight.hpp"
@@ -13,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -118,10 +122,181 @@ TEST(GemmBinary, EveryRegistryKernelMatchesScalar) {
                    c_scalar.data(), n);
   gemm_binary_with(binary_kernel(), m, n, k, pa.data(), pb, c_best.data(), n);
   for (std::size_t i = 0; i < m * n; ++i) EXPECT_EQ(c_scalar[i], c_best[i]);
+  for (const BinaryKernel* kern : binary_kernels_supported()) {
+    std::vector<float> c_k(m * n);
+    gemm_binary_with(*kern, m, n, k, pa.data(), pb, c_k.data(), n);
+    for (std::size_t i = 0; i < m * n; ++i)
+      ASSERT_EQ(c_scalar[i], c_k[i]) << kern->name << " i=" << i;
+  }
+  EXPECT_EQ(binary_kernels_supported().front(), &binary_kernel_scalar());
 
   EXPECT_STREQ(binary_kernel_scalar().name, "scalar");
   EXPECT_NE(binary_kernel_name(), nullptr);
   EXPECT_FALSE(cpu_features().empty());
+}
+
+/// Random threshold-epilogue operands over c channels: rows of m values
+/// drawn from a small set that includes ±0 and every threshold exactly
+/// (ties), thresholds including ±0 and ±inf, and both flip directions.
+struct EpilogueCase {
+  std::vector<float> v, thr;
+  std::vector<std::uint32_t> flip;
+};
+
+EpilogueCase make_epilogue_case(std::size_t m, std::size_t c,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {0.0f, -0.0f, 0.25f, -0.25f, 1.5f, -3.75f, inf, -inf};
+  const auto pick = [&] {
+    return pool[rng.uniform_int(0, static_cast<int>(std::size(pool)) - 1)];
+  };
+  const std::size_t stride = threshold_stride(c);
+  EpilogueCase e;
+  e.thr.assign(kBinaryPlanes * stride, inf);
+  e.flip.assign(stride, 0);
+  for (std::size_t j = 0; j < c; ++j) {
+    e.flip[j] = rng.uniform_int(0, 1) ? 0x80000000u : 0u;
+    for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+      e.thr[t * stride + j] = pick();
+  }
+  e.v.resize(m * c);
+  for (std::size_t i = 0; i < m * c; ++i) {
+    const std::size_t j = i % c;
+    switch (rng.uniform_int(0, 2)) {
+      case 0:  // a tie with one of this channel's thresholds, either sign
+        e.v[i] = e.thr[static_cast<std::size_t>(rng.uniform_int(0, 7)) *
+                           stride + j] *
+                 (e.flip[j] ? -1.0f : 1.0f);
+        break;
+      case 1:
+        e.v[i] = pick();
+        break;
+      default:
+        e.v[i] = static_cast<float>(rng.uniform_int(-40, 40)) * 0.125f;
+    }
+  }
+  return e;
+}
+
+TEST(GemmBinary, ThresholdEpilogueScalarMatchesDefinition) {
+  const std::size_t m = 9;
+  for (std::size_t c : {1u, 7u, 16u, 63u, 64u, 65u, 130u}) {
+    SCOPED_TRACE(::testing::Message() << "c=" << c);
+    const EpilogueCase e = make_epilogue_case(m, c, 100 + c);
+    const std::size_t cw = binary_words(c), stride = threshold_stride(c);
+    std::vector<std::uint64_t> planes(m * cw * kBinaryPlanes, ~0ull);
+    binary_kernel_scalar().threshold_rows(e.v.data(), m, c, e.flip.data(),
+                                          e.thr.data(), stride, planes.data());
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t w = 0; w < cw; ++w)
+        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+          for (std::size_t b = 0; b < 64; ++b) {
+            const std::size_t j = w * 64 + b;
+            bool want = false;
+            if (j < c) {
+              const float v = e.v[i * c + j];
+              const float key = e.flip[j] ? -v : v;
+              want = key >= e.thr[t * stride + j];
+            }
+            ASSERT_EQ((planes[(i * cw + w) * kBinaryPlanes + t] >> b) & 1u,
+                      want ? 1u : 0u)
+                << "i=" << i << " j=" << j << " t=" << t;
+          }
+  }
+}
+
+TEST(GemmBinary, ThresholdEpilogueEveryRegistryKernelMatchesScalar) {
+  const std::size_t m = 37;
+  for (std::size_t c : {1u, 7u, 16u, 63u, 64u, 65u, 130u}) {
+    const EpilogueCase e = make_epilogue_case(m, c, 200 + c);
+    const std::size_t words = m * binary_words(c) * kBinaryPlanes;
+    std::vector<std::uint64_t> ref(words);
+    const std::size_t stride = threshold_stride(c);
+    binary_kernel_scalar().threshold_rows(e.v.data(), m, c, e.flip.data(),
+                                          e.thr.data(), stride, ref.data());
+    for (const BinaryKernel* kern : binary_kernels_supported()) {
+      SCOPED_TRACE(::testing::Message() << "c=" << c << " " << kern->name);
+      std::vector<std::uint64_t> got(words, 0x5555555555555555ull);
+      kern->threshold_rows(e.v.data(), m, c, e.flip.data(), e.thr.data(),
+                           stride, got.data());
+      EXPECT_EQ(got, ref);
+    }
+  }
+}
+
+TEST(GemmBinary, FusedThresholdEqualsGemmThenEpilogue) {
+  // The fused row loop hands threshold_rows one 256-channel chunk at a
+  // time: multi-chunk widths and ragged tails must give the planes of the
+  // unfused pair, for every registry kernel.
+  for (const auto [m, n, k] : {std::array<std::size_t, 3>{5, 16, 144},
+                               {7, 65, 30}, {3, 300, 77}, {4, 520, 9}}) {
+    const std::vector<float> A = make_grid(m, k);
+    const std::vector<float> B = make_signs(n, k);
+    PackedBinaryB pb = prepack_binary_b_t(n, k, B.data(), k);
+    std::vector<std::uint64_t> pa(packed_binary_a_words(m, k));
+    ASSERT_TRUE(pack_binary_a(m, k, A.data(), k, pa.data()));
+    std::vector<float> c(m * n);
+    gemm_binary_with(binary_kernel_scalar(), m, n, k, pa.data(), pb, c.data(),
+                     n);
+    // Thresholds straddling the outputs: ties, flips and never/always cuts.
+    const EpilogueCase e = make_epilogue_case(1, n, 300 + n);
+    std::vector<float> thr = e.thr;
+    for (std::size_t j = 0; j < n; ++j)
+      thr[(j % kBinaryPlanes) * threshold_stride(n) + j] =
+          c[(j % m) * n + j] * (e.flip[j] ? -1.0f : 1.0f);
+    const std::size_t words = m * binary_words(n) * kBinaryPlanes;
+    std::vector<std::uint64_t> ref(words);
+    binary_kernel_scalar().threshold_rows(c.data(), m, n, e.flip.data(),
+                                          thr.data(), threshold_stride(n),
+                                          ref.data());
+    for (const BinaryKernel* kern : binary_kernels_supported()) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k="
+                                        << k << " " << kern->name);
+      std::vector<std::uint64_t> got(words, ~0ull);
+      const std::uint64_t mvms = binary_mvm_count();
+      gemm_binary_threshold_with(*kern, m, n, k, pa.data(), pb, e.flip.data(),
+                                 thr.data(), got.data());
+      EXPECT_EQ(binary_mvm_count(), mvms + 1);
+      EXPECT_EQ(got, ref);
+    }
+  }
+}
+
+TEST(GemmBinary, OrPoolAndDecodeMatchFloatMaxPool) {
+  // Planes of an on-grid NCHW activation, OR-pooled and decoded, equal the
+  // float max-pool of the activation bit for bit; decode alone inverts
+  // the pack.
+  for (std::size_t c : {3u, 64u, 70u}) {
+    SCOPED_TRACE(::testing::Message() << "c=" << c);
+    const std::size_t batch = 2, h = 6, w = 4, window = 2;
+    const std::vector<float> x = make_grid(batch * c, h * w);
+    std::vector<std::uint64_t> pix(packed_binary_pixel_words(batch * h * w, c));
+    ASSERT_TRUE(pack_binary_pixels(x.data(), batch, c, h * w, pix.data()));
+    std::vector<float> back(x.size());
+    decode_planes(pix.data(), batch, c, h * w, back.data());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(back[i]),
+                std::bit_cast<std::uint32_t>(x[i]));
+
+    const std::size_t oh = h / window, ow = w / window;
+    std::vector<std::uint64_t> pooled(
+        packed_binary_pixel_words(batch * oh * ow, c));
+    or_pool_planes(pix.data(), batch, h, w, c, window, pooled.data());
+    std::vector<float> got(batch * c * oh * ow);
+    decode_planes(pooled.data(), batch, c, oh * ow, got.data());
+    for (std::size_t n = 0; n < batch; ++n)
+      for (std::size_t ch = 0; ch < c; ++ch)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            float best = -std::numeric_limits<float>::infinity();
+            for (std::size_t dy = 0; dy < window; ++dy)
+              for (std::size_t dx = 0; dx < window; ++dx)
+                best = std::max(best, x[((n * c + ch) * h + oy * window + dy) *
+                                            w + ox * window + dx]);
+            ASSERT_EQ(got[((n * c + ch) * oh + oy) * ow + ox], best);
+          }
+  }
 }
 
 TEST(GemmBinary, OffGridInputAbortsPack) {

@@ -346,6 +346,40 @@ TEST(Pooling, RejectsIndivisibleSize) {
   EXPECT_THROW(pool.forward(x), std::invalid_argument);
 }
 
+TEST(Pooling, RejectsZeroWindow) {
+  EXPECT_THROW(MaxPool2d(0), std::invalid_argument);
+  EXPECT_THROW(AvgPool2d(0), std::invalid_argument);
+}
+
+TEST(Pooling, BackwardRejectsGradNotMatchingForward) {
+  // A gradient of any other shape than the pooled forward output (or one
+  // before any forward) would index past the argmax cache / the gradient.
+  MaxPool2d maxp(2);
+  AvgPool2d avgp(2);
+  EXPECT_THROW(maxp.backward(Tensor({1, 1, 1, 1})), std::invalid_argument);
+  EXPECT_THROW(avgp.backward(Tensor({1, 1, 1, 1})), std::invalid_argument);
+  const Tensor x({1, 2, 4, 4});
+  (void)maxp.forward(x);
+  (void)avgp.forward(x);
+  for (const Tensor& g : {Tensor({1, 2, 4, 4}), Tensor({2, 2, 2, 2}),
+                          Tensor({1, 1, 2, 2}), Tensor({8})}) {
+    EXPECT_THROW(maxp.backward(g), std::invalid_argument) << g.shape_str();
+    EXPECT_THROW(avgp.backward(g), std::invalid_argument) << g.shape_str();
+  }
+  EXPECT_EQ(maxp.backward(Tensor({1, 2, 2, 2})).shape(), x.shape());
+  EXPECT_EQ(avgp.backward(Tensor({1, 2, 2, 2})).shape(), x.shape());
+}
+
+TEST(BatchNorm1d, BackwardRejectsGradNotMatchingForward) {
+  BatchNorm1d bn(4);
+  (void)bn.forward(Tensor({2, 4}));
+  EXPECT_THROW(bn.backward(Tensor({3, 4})), std::invalid_argument);
+  EXPECT_THROW(bn.backward(Tensor({2, 5})), std::invalid_argument);
+  EXPECT_THROW(bn.backward(Tensor({8})), std::invalid_argument);
+  EXPECT_EQ(bn.backward(Tensor({2, 4})).shape(),
+            (std::vector<std::size_t>{2, 4}));
+}
+
 TEST(Flatten, RoundTrip) {
   Flatten flat;
   Tensor x({2, 3, 4, 4});

@@ -215,25 +215,43 @@ TEST(QuantConv2d, InferRejectsInputNotMatchingGeometry) {
   EXPECT_THROW(conv.infer(Tensor({2, 8, 4, 4}), ctx), std::invalid_argument);
 }
 
-TEST(QuantConv2d, BitPlaneRouteBitwiseAcrossGeometries) {
-  // Channel counts below, at and across the 64-bit word (taps straddling
-  // words, multi-word pixels), odd kernels, strides and paddings: the
-  // pixel-plane encode + word gather must equal forward() bit for bit.
+TEST(QuantConv2d, BitPlaneRouteRandomShapeSweep) {
+  // Seeded sweep over the bit-plane route's geometry: channel counts below,
+  // at and across the 64-bit word (taps straddling words, multi-word
+  // pixels), kernels 1/3/5, strides, paddings, image sizes 1..9 and
+  // batches 1..3, after nine hand-picked cases. The pixel-plane encode +
+  // word gather must equal forward() bit for bit and take the binary route;
+  // one off-grid value must take the float route with the same bits.
   struct Case {
-    std::size_t c, h, k, stride, pad;
+    std::size_t c, out_c, h, w, k, stride, pad, batch;
   };
-  const Case cases[] = {{1, 4, 3, 1, 1},  {3, 6, 3, 2, 1},  {16, 5, 3, 1, 1},
-                        {48, 4, 3, 1, 1}, {64, 3, 3, 1, 1}, {100, 3, 3, 1, 0},
-                        {5, 7, 5, 2, 2},  {7, 4, 1, 1, 0},  {130, 2, 3, 1, 1}};
+  std::vector<Case> cases = {
+      {1, 6, 4, 5, 3, 1, 1, 2},   {3, 6, 6, 7, 3, 2, 1, 2},
+      {16, 6, 5, 6, 3, 1, 1, 2},  {48, 6, 4, 5, 3, 1, 1, 2},
+      {64, 6, 3, 4, 3, 1, 1, 2},  {100, 6, 3, 4, 3, 1, 0, 2},
+      {5, 6, 7, 8, 5, 2, 2, 2},   {7, 6, 4, 5, 1, 1, 0, 2},
+      {130, 6, 2, 3, 3, 1, 1, 2}};
   Rng rng(24);
+  const std::size_t channels[] = {1, 7, 63, 64, 65, 130};
+  const auto pick = [&](auto lo, auto hi) {
+    return static_cast<std::size_t>(rng.uniform_int(lo, hi));
+  };
+  while (cases.size() < 256) {
+    Case cs{channels[pick(0, 5)], channels[pick(0, 5)], pick(1, 9),
+            pick(1, 9),           2 * pick(0, 2) + 1,   pick(1, 2),
+            pick(0, 2),           pick(1, 3)};
+    if (cs.h + 2 * cs.pad >= cs.k && cs.w + 2 * cs.pad >= cs.k)
+      cases.push_back(cs);
+  }
   for (const Case& cs : cases) {
-    SCOPED_TRACE(::testing::Message() << "c=" << cs.c << " h=" << cs.h
-                                      << " k=" << cs.k << " s=" << cs.stride
-                                      << " p=" << cs.pad);
-    ConvGeom g{.in_c = cs.c, .in_h = cs.h, .in_w = cs.h + 1, .k = cs.k,
+    SCOPED_TRACE(::testing::Message()
+                 << "c=" << cs.c << " out_c=" << cs.out_c << " h=" << cs.h
+                 << " w=" << cs.w << " k=" << cs.k << " s=" << cs.stride
+                 << " p=" << cs.pad << " n=" << cs.batch);
+    ConvGeom g{.in_c = cs.c, .in_h = cs.h, .in_w = cs.w, .k = cs.k,
                .stride = cs.stride, .pad = cs.pad};
-    QuantConv2d conv(6, g, rng, /*scaled=*/true);
-    Tensor x({2, cs.c, cs.h, cs.h + 1});
+    QuantConv2d conv(cs.out_c, g, rng, /*scaled=*/true);
+    Tensor x({cs.batch, cs.c, cs.h, cs.w});
     for (std::size_t i = 0; i < x.numel(); ++i)
       x[i] = static_cast<float>(rng.uniform_int(0, 8)) * 0.25f - 1.0f;
     Tensor ref = conv.forward(x);
